@@ -332,7 +332,7 @@ def build_parser():
     p.add_argument("--archive", required=True)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--weight-floor", type=float, default=None,
-                   help="default: 5%% of the largest association weight")
+                   help="default: 5%% of the mean positive association weight")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_export_graph)
 

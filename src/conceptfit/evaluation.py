@@ -12,7 +12,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import fit
-from .model import inverse_logit
+from .model import bernoulli_nll, inverse_logit, observed_slacks
 
 __all__ = [
     "HoldoutSplit",
@@ -112,7 +112,7 @@ def mean_predicted_likelihood(state, test_entries, tau, log=False):
 
     Each entry (i, j, y) contributes p if y == 1 else 1 - p, with p the
     predicted correct-response probability. ``log=True`` switches to the
-    mean log-likelihood diagnostic variant.
+    mean log-likelihood, -bernoulli_nll, finite even where 1 - p underflows.
     """
     entries = list(test_entries)
     if not entries:
@@ -123,12 +123,11 @@ def mean_predicted_likelihood(state, test_entries, tau, log=False):
         raise ValidationError("test entry question index out of range")
     if lj.min() < 0 or lj.max() >= state.num_learners:
         raise ValidationError("test entry learner index out of range")
-    z = np.einsum("mk,km->m", state.W[qi], state.C[:, lj]) + state.mu[qi]
-    p = inverse_logit(tau * z)
-    lik = np.where(y == 1, p, 1.0 - p)
+    z = observed_slacks(state, qi, lj)
     if log:
-        return float(np.mean(np.log(lik)))
-    return float(np.mean(lik))
+        return -float(np.mean(bernoulli_nll(y, z, tau)))
+    p = inverse_logit(tau * z)
+    return float(np.mean(np.where(y == 1, p, 1.0 - p)))
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,9 @@ def _make_folds(responses, folds_or_fraction, seed):
         folds = []
         for f in range(k):
             test = np.sort(order[f::k])
+            if not _coverage_ok(responses, test):
+                raise InfeasibleSplitError(f"fold {f + 1} of {k} would starve a "
+                                           "question or learner; try fewer folds")
             keep = np.ones(total, dtype=bool)
             keep[test] = False
             train = np.nonzero(keep)[0]
@@ -186,7 +188,9 @@ def cross_validate(responses, word_counts, grid, config, folds_or_fraction=0.2,
     by ``folds_or_fraction`` (a float for one random holdout, an int >= 2
     for k folds) and is scored by mean predicted likelihood. Ties are
     broken toward larger lam (sparser associations), then smaller tau, then
-    grid order. Returns (best params, full score table).
+    grid order. Returns (best params, full score table). Raises
+    InfeasibleSplitError when the holdout or any fold would leave a
+    question or learner without a training entry.
     """
     grid = list(grid)
     if not grid:

@@ -10,6 +10,10 @@ weights W and ridge penalties on the knowledge profiles C and the word
 profiles T. The per-question difficulty mu rides along as an extra column
 of W during optimization but is neither penalized nor sign-constrained.
 
+Each channel's formulas are written once: ``bernoulli_nll``/``bernoulli_slope``
+and ``poisson_nll``/``poisson_slope`` give value and derivative, and the
+objective, held-out scoring and every subproblem in ``solvers`` call them.
+
 All values here are immutable once constructed and safe to share across
 threads; every operation is a pure function of its inputs.
 """
@@ -28,7 +32,10 @@ __all__ = [
     "FitReport",
     "inverse_logit",
     "bernoulli_nll",
+    "bernoulli_slope",
     "poisson_nll",
+    "poisson_slope",
+    "observed_slacks",
     "objective",
     "objective_responses_only",
     "predict_response_prob",
@@ -266,7 +273,17 @@ def bernoulli_nll(y, z, tau):
         raise ValidationError("tau must be > 0")
     tz = tau * np.asarray(z, dtype=float)
     val = np.logaddexp(0.0, -tz) + (1.0 - np.asarray(y, dtype=float)) * tz
-    return float(val) if np.ndim(val) == 0 else val
+    return val if isinstance(val, np.ndarray) else float(val)
+
+
+def bernoulli_slope(y, z, tau):
+    """Derivative of ``bernoulli_nll`` in z: the tau-scaled logistic residual."""
+    val = tau * (inverse_logit(tau * np.asarray(z, dtype=float)) - y)
+    return val if isinstance(val, np.ndarray) else float(val)
+
+
+def _floored_rate(a_raw, epsilon):
+    return np.maximum(np.asarray(a_raw, dtype=float), epsilon)
 
 
 def poisson_nll(b, a_raw, epsilon=1e-6):
@@ -276,9 +293,18 @@ def poisson_nll(b, a_raw, epsilon=1e-6):
     rate never produces infinities. The dropped log(b!) term does not
     affect minimization; values are comparable only within this package.
     """
-    a = np.maximum(np.asarray(a_raw, dtype=float), epsilon)
+    a = _floored_rate(a_raw, epsilon)
     val = a - np.asarray(b, dtype=float) * np.log(a)
-    return float(val) if np.ndim(val) == 0 else val
+    return val if isinstance(val, np.ndarray) else float(val)
+
+
+def poisson_slope(b, a_raw, epsilon=1e-6):
+    """Derivative of ``poisson_nll`` in the raw rate above the floor, 1 - b / a.
+
+    The rate a is floored as in the value, so the slope is finite everywhere.
+    """
+    val = 1.0 - b / _floored_rate(a_raw, epsilon)
+    return val if isinstance(val, np.ndarray) else float(val)
 
 
 def _check_dims(responses, word_counts, state, params):
@@ -303,15 +329,17 @@ def _check_dims(responses, word_counts, state, params):
             )
 
 
-def _bernoulli_sum(responses, state, tau):
-    qi, lj = responses.question_idx, responses.learner_idx
-    z = (
-        np.einsum("mk,km->m", state.W[qi], state.C[:, lj])
-        + state.mu[qi]
+def observed_slacks(state, question_idx, learner_idx):
+    """Slacks w_i . c_j + mu_i of the given (question, learner) pairs."""
+    return (
+        np.einsum("mk,km->m", state.W[question_idx], state.C[:, learner_idx])
+        + state.mu[question_idx]
     )
-    tz = tau * z
-    y = responses.grades.astype(float)
-    return float(np.sum(np.logaddexp(0.0, -tz) + (1.0 - y) * tz))
+
+
+def _bernoulli_sum(responses, state, tau):
+    z = observed_slacks(state, responses.question_idx, responses.learner_idx)
+    return float(np.sum(bernoulli_nll(responses.grades, z, tau)))
 
 
 def _penalties(state, params):
@@ -331,8 +359,8 @@ def objective(responses, word_counts, state, params):
     to the l1 term.
     """
     _check_dims(responses, word_counts, state, params)
-    a = np.maximum(state.W @ state.T, params.epsilon)
-    pois = float(np.sum(a - word_counts.counts * np.log(a)))
+    pois = float(np.sum(poisson_nll(word_counts.counts, state.W @ state.T,
+                                    params.epsilon)))
     return _bernoulli_sum(responses, state, params.tau) + pois + _penalties(state, params)
 
 

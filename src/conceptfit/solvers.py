@@ -2,12 +2,19 @@
 
 ``fista_minimize`` runs accelerated proximal gradient with a backtracking
 line search on a variable of any ndarray shape (inner products are taken
-over all elements). The three ``*_subproblem`` builders package the smooth
-value/gradient, prox, and nonsmooth value for a single question row of
-[W | mu], a single learner column of C, and a single word column of T; the
-``*_block_subproblem`` variants drive a whole block at once, which is what
-the outer loop uses. Because the per-row (per-column) problems are
-independent, one FISTA run on the stacked variable minimizes each of them.
+over all elements). The ``*_block_subproblem`` builders package the smooth
+value/gradient, prox, and nonsmooth value of a whole block: every
+[w_i | mu_i] row of the associations, every learner column of C, or every
+word column of T, which is what the outer loop solves. Their smooth parts
+are sums of the likelihood kernels in ``model``.
+
+The per-row ``grad_*`` and ``*_subproblem`` functions are one-row views of
+the same block builders: a 1-D [w_i | mu_i] row with ``mask=1.0``, a
+knowledge column passed as a one-column C, and a 1-D word column of T.
+The rows of a block are independent problems, but one FISTA run on the
+stacked variable shares a single step size and stopping test across them,
+so it does not in general reach each row's minimizer: a row with a large
+gradient shrinks the step for the whole block.
 """
 
 from dataclasses import dataclass
@@ -16,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import NonFiniteGradientError, ValidationError
-from .model import inverse_logit
+from .model import bernoulli_nll, bernoulli_slope, poisson_nll, poisson_slope
 
 __all__ = [
     "FistaConfig",
@@ -160,22 +167,13 @@ def grad_w_row(y_obs, c_obs, b_row, T, w_aug, tau, epsilon=1e-6):
     term (grades-only fits). The precision tau multiplies the Bernoulli
     residual, as the chain rule through the tau-scaled logit requires.
     """
-    w_aug = np.asarray(w_aug, dtype=float)
-    z = w_aug @ c_obs
-    p = inverse_logit(tau * z)
-    g = c_obs @ (tau * (p - y_obs))
-    if b_row is not None:
-        a = np.maximum(w_aug[:-1] @ T, epsilon)
-        g[:-1] += T @ (1.0 - b_row / a)
-    return g
+    sub = w_row_subproblem(y_obs, c_obs, b_row, T, tau, 0.0, epsilon)
+    return sub.smooth_gradient(np.asarray(w_aug, dtype=float))
 
 
 def grad_c_column(y_obs, w_obs, mu_obs, c, gamma, tau):
     """Gradient of one learner's knowledge-column subproblem (fully smooth)."""
-    c = np.asarray(c, dtype=float)
-    z = w_obs @ c + mu_obs
-    p = inverse_logit(tau * z)
-    return w_obs.T @ (tau * (p - y_obs)) + gamma * c
+    return c_column_subproblem(y_obs, w_obs, mu_obs, gamma, tau).smooth_gradient(c)
 
 
 def grad_t_column(b_col, W, t, eta, epsilon=1e-6):
@@ -184,68 +182,33 @@ def grad_t_column(b_col, W, t, eta, epsilon=1e-6):
     Rates are floored at epsilon inside the ratio so the gradient stays
     finite whatever the current iterate.
     """
-    t = np.asarray(t, dtype=float)
-    a = np.maximum(W @ t, epsilon)
-    return W.T @ (1.0 - b_col / a) + eta * t
+    sub = t_column_subproblem(b_col, W, eta, epsilon)
+    return sub.smooth_gradient(np.asarray(t, dtype=float))
 
 
 def w_row_subproblem(y_obs, c_obs, b_row, T, tau, lam, epsilon=1e-6):
     """Composite problem for one row [w_i | mu_i] of the association block."""
-    y_obs = np.asarray(y_obs, dtype=float)
-
-    def value(w_aug):
-        tz = tau * (w_aug @ c_obs)
-        val = float(np.sum(np.logaddexp(0.0, -tz) + (1.0 - y_obs) * tz))
-        if b_row is not None:
-            a = np.maximum(w_aug[:-1] @ T, epsilon)
-            val += float(np.sum(a - b_row * np.log(a)))
-        return val
-
-    def gradient(w_aug):
-        return grad_w_row(y_obs, c_obs, b_row, T, w_aug, tau, epsilon)
-
-    def prox(point, step):
-        return prox_w(point, step * lam)
-
-    def penalty(w_aug):
-        return lam * float(np.sum(np.abs(w_aug[..., :-1])))
-
-    return Subproblem(value, gradient, prox, penalty)
+    return w_block_subproblem(np.asarray(y_obs, dtype=float), 1.0, c_obs,
+                              b_row, T, tau, lam, epsilon)
 
 
 def c_column_subproblem(y_obs, w_obs, mu_obs, gamma, tau):
     """Smooth problem for one learner column of C; identity prox."""
-    y_obs = np.asarray(y_obs, dtype=float)
+    block = c_block_subproblem(np.asarray(y_obs, dtype=float)[:, None], 1.0,
+                               w_obs, np.asarray(mu_obs, dtype=float), gamma, tau)
 
     def value(c):
-        tz = tau * (w_obs @ c + mu_obs)
-        bern = float(np.sum(np.logaddexp(0.0, -tz) + (1.0 - y_obs) * tz))
-        return bern + 0.5 * gamma * float(np.vdot(c, c))
+        return block.smooth_value(np.asarray(c, dtype=float)[:, None])
 
     def gradient(c):
-        return grad_c_column(y_obs, w_obs, mu_obs, c, gamma, tau)
+        return block.smooth_gradient(np.asarray(c, dtype=float)[:, None])[:, 0]
 
-    def prox(point, step):
-        return point
-
-    return Subproblem(value, gradient, prox)
+    return Subproblem(value, gradient, block.prox)
 
 
 def t_column_subproblem(b_col, W, eta, epsilon=1e-6):
     """Composite problem for one word column of T; nonnegative projection."""
-    b_col = np.asarray(b_col, dtype=float)
-
-    def value(t):
-        a = np.maximum(W @ t, epsilon)
-        return float(np.sum(a - b_col * np.log(a))) + 0.5 * eta * float(np.vdot(t, t))
-
-    def gradient(t):
-        return grad_t_column(b_col, W, t, eta, epsilon)
-
-    def prox(point, step):
-        return prox_nonneg(point)
-
-    return Subproblem(value, gradient, prox)
+    return t_block_subproblem(np.asarray(b_col, dtype=float), W, eta, epsilon)
 
 
 def w_block_subproblem(grades, mask, c_aug, counts, T, tau, lam, epsilon=1e-6):
@@ -253,23 +216,20 @@ def w_block_subproblem(grades, mask, c_aug, counts, T, tau, lam, epsilon=1e-6):
 
     ``grades`` and ``mask`` are dense Q x N float arrays (mask zeroes the
     unobserved cells); ``c_aug`` is (K+1) x N with a trailing ones row.
-    ``counts=None, T=None`` drops the word-count term.
+    ``counts=None, T=None`` drops the word-count term. A 1-D variable with
+    1-D grades and ``mask=1.0`` is the problem of a single row.
     """
 
     def value(X):
-        tz = tau * (X @ c_aug)
-        bern = float(np.sum((np.logaddexp(0.0, -tz) + (1.0 - grades) * tz) * mask))
+        bern = float(np.sum(bernoulli_nll(grades, X @ c_aug, tau) * mask))
         if counts is None:
             return bern
-        a = np.maximum(X[:, :-1] @ T, epsilon)
-        return bern + float(np.sum(a - counts * np.log(a)))
+        return bern + float(np.sum(poisson_nll(counts, X[..., :-1] @ T, epsilon)))
 
     def gradient(X):
-        p = inverse_logit(tau * (X @ c_aug))
-        g = ((tau * mask) * (p - grades)) @ c_aug.T
+        g = (mask * bernoulli_slope(grades, X @ c_aug, tau)) @ c_aug.T
         if counts is not None:
-            a = np.maximum(X[:, :-1] @ T, epsilon)
-            g[:, :-1] += (1.0 - counts / a) @ T.T
+            g[..., :-1] += poisson_slope(counts, X[..., :-1] @ T, epsilon) @ T.T
         return g
 
     def prox(point, step):
@@ -286,13 +246,11 @@ def c_block_subproblem(grades, mask, W, mu, gamma, tau):
     offset = mu[:, None]
 
     def value(C):
-        tz = tau * (W @ C + offset)
-        bern = float(np.sum((np.logaddexp(0.0, -tz) + (1.0 - grades) * tz) * mask))
+        bern = float(np.sum(bernoulli_nll(grades, W @ C + offset, tau) * mask))
         return bern + 0.5 * gamma * float(np.vdot(C, C))
 
     def gradient(C):
-        p = inverse_logit(tau * (W @ C + offset))
-        return W.T @ ((tau * mask) * (p - grades)) + gamma * C
+        return W.T @ (mask * bernoulli_slope(grades, W @ C + offset, tau)) + gamma * C
 
     def prox(point, step):
         return point
@@ -304,12 +262,11 @@ def t_block_subproblem(counts, W, eta, epsilon=1e-6):
     """Stacked word-profile problem covering every column of T."""
 
     def value(T):
-        a = np.maximum(W @ T, epsilon)
-        return float(np.sum(a - counts * np.log(a))) + 0.5 * eta * float(np.vdot(T, T))
+        pois = float(np.sum(poisson_nll(counts, W @ T, epsilon)))
+        return pois + 0.5 * eta * float(np.vdot(T, T))
 
     def gradient(T):
-        a = np.maximum(W @ T, epsilon)
-        return W.T @ (1.0 - counts / a) + eta * T
+        return W.T @ poisson_slope(counts, W @ T, epsilon) + eta * T
 
     def prox(point, step):
         return prox_nonneg(point)

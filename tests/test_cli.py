@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conceptfit import load_archive
-from conceptfit.cli import main
+from conceptfit.cli import build_parser, main
 
 
 def run(*args):
@@ -173,3 +173,11 @@ def test_evaluate_tau_override_required_for_truth_archive(sim_files, capsys):
     assert code == 0
     score = float(capsys.readouterr().out.strip())
     assert score > 0.5
+
+
+def test_weight_floor_help_names_mean_positive_weight():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    graph = sub.choices["export-graph"]
+    floor = next(a for a in graph._actions if a.dest == "weight_floor")
+    assert "mean positive" in floor.help

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,21 @@ class TestMeanPredictedLikelihood:
         with pytest.raises(ValidationError):
             mean_predicted_likelihood(S, [], tau=1.0)
 
+    def test_log_variant_finite_for_confident_wrong_predictions(self):
+        # tau * z = +-100: 1 - p underflows to 0 for the wrong grade
+        S = FactorState([[10.0]], [0.0], [[5.0, -5.0]], np.zeros((1, 1)))
+        entries = [(0, 0, 0), (0, 1, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mean_predicted_likelihood(S, entries, tau=2.0, log=True)
+        assert math.isfinite(got)
+        expected = -sum(
+            naive_bernoulli_nll(y, S.W[i] @ S.C[:, j] + S.mu[i], 2.0)
+            for i, j, y in entries
+        ) / len(entries)
+        assert got == approx(expected, rel=1e-12)
+        assert got == approx(-100.0, rel=1e-12)
+
 
 class TestCrossValidate:
     def setup_method(self):
@@ -184,6 +200,12 @@ class TestCrossValidate:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             cross_validate(self.Y, self.B, [], self.cfg, 0.2)
+
+    def test_kfold_rejects_folds_that_starve_a_question_or_learner(self):
+        # 90% missing: some learners have fewer observed grades than folds
+        Y, B, _ = simulate(20, 30, 10, 2, 1, 2.0, 0.9)
+        with pytest.raises(InfeasibleSplitError):
+            cross_validate(Y, B, [self.params()], self.cfg, 5)
 
     def test_parallel_matches_serial(self):
         grid = [self.params(lam=0.1), self.params(lam=0.3)]
