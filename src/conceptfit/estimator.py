@@ -101,7 +101,7 @@ def fit_responses_only(responses, params, config=None):
 
 def _descend(responses, word_counts, state, params, config):
     start = time.perf_counter()
-    mask, grades = responses.dense()
+    grades = (responses.cells, responses.grades.astype(float))
     use_text = word_counts is not None
     counts = word_counts.counts.astype(float) if use_text else None
     ones = np.ones((1, responses.num_learners))
@@ -125,7 +125,7 @@ def _descend(responses, word_counts, state, params, config):
 
         w_aug = np.hstack([state.W, state.mu[:, None]])
         sub = w_block_subproblem(
-            grades, mask, np.vstack([state.C, ones]),
+            grades, np.vstack([state.C, ones]),
             counts, state.T if use_text else None,
             params.tau, params.lam, params.epsilon,
         )
@@ -135,7 +135,7 @@ def _descend(responses, word_counts, state, params, config):
         ).solution
         W, mu = w_aug[:, :-1], w_aug[:, -1]
 
-        sub = c_block_subproblem(grades, mask, W, mu, params.gamma, params.tau)
+        sub = c_block_subproblem(grades, W, mu, params.gamma, params.tau)
         C = fista_minimize(
             sub.smooth_gradient, sub.smooth_value, sub.prox, state.C, config.inner
         ).solution

@@ -53,6 +53,8 @@ class GradedResponseSet:
 
     Entries are (question index, learner index, grade) triples with grades in
     {0, 1}. Pairs absent from the entry list are unobserved, not incorrect.
+    ``cells`` holds each entry's row-major flat index into the question x
+    learner grid, ``question_idx * num_learners + learner_idx``.
     """
 
     def __init__(self, num_questions, num_learners, entries):
@@ -74,15 +76,16 @@ class GradedResponseSet:
         bad = ~np.isin(y, (0, 1))
         if bad.any():
             raise ValidationError(f"grades must be 0 or 1, got {y[bad][0]}")
-        flat = qi * num_learners + lj
-        if np.unique(flat).size != flat.size:
+        cells = qi * num_learners + lj
+        if np.unique(cells).size != cells.size:
             raise ValidationError("duplicate (question, learner) pair in entries")
         self.num_questions = int(num_questions)
         self.num_learners = int(num_learners)
         self.question_idx = qi
         self.learner_idx = lj
         self.grades = y
-        for a in (self.question_idx, self.learner_idx, self.grades):
+        self.cells = cells
+        for a in (self.question_idx, self.learner_idx, self.grades, self.cells):
             a.setflags(write=False)
 
     @property
@@ -114,14 +117,6 @@ class GradedResponseSet:
             [self.question_idx[sel], self.learner_idx[sel], self.grades[sel]], axis=1
         )
         return GradedResponseSet(self.num_questions, self.num_learners, stacked)
-
-    def dense(self):
-        """(mask, grades) as dense float arrays; unobserved cells are zero in both."""
-        mask = np.zeros((self.num_questions, self.num_learners))
-        grades = np.zeros((self.num_questions, self.num_learners))
-        mask[self.question_idx, self.learner_idx] = 1.0
-        grades[self.question_idx, self.learner_idx] = self.grades
-        return mask, grades
 
 
 class WordCountMatrix:

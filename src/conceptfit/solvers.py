@@ -6,11 +6,12 @@ over all elements). The ``*_block_subproblem`` builders package the smooth
 value/gradient, prox, and nonsmooth value of a whole block: every
 [w_i | mu_i] row of the associations, every learner column of C, or every
 word column of T, which is what the outer loop solves. Their smooth parts
-are sums of the likelihood kernels in ``model``.
+are sums of the likelihood kernels in ``model``, the Bernoulli ones taken
+over the observed grades only.
 
 The per-row ``grad_*`` and ``*_subproblem`` functions are one-row views of
-the same block builders: a 1-D [w_i | mu_i] row with ``mask=1.0``, a
-knowledge column passed as a one-column C, and a 1-D word column of T.
+the same block builders: a 1-D [w_i | mu_i] row or knowledge column with
+all its slacks observed, and a 1-D word column of T.
 The rows of a block are independent problems, but one FISTA run on the
 stacked variable shares a single step size and stopping test across them,
 so it does not in general reach each row's minimizer: a row with a large
@@ -52,17 +53,11 @@ class FistaConfig:
     """Inner-solver knobs. The step size only ever shrinks."""
 
     max_iterations: int = 200
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
     relative_tolerance: float = 1e-7
 
     def __post_init__(self):
         if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
             raise ValidationError("max_iterations must be an integer >= 1")
-        if not self.initial_step > 0:
-            raise ValidationError("initial_step must be > 0")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValidationError("backtrack_factor must be in (0, 1)")
         if not self.relative_tolerance > 0:
             raise ValidationError("relative_tolerance must be > 0")
 
@@ -102,7 +97,7 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     x = np.array(x0, dtype=float)
     y = x.copy()
     t = 1.0
-    step = config.initial_step
+    step = 1.0
     f_prev = float(smooth_value(x)) + float(penalty(x))
     best_x, best_f = x.copy(), f_prev
     used = 0
@@ -122,7 +117,7 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
             )
             if f_z <= bound + 1e-12 * max(1.0, abs(f_y)) or step <= _STEP_FLOOR:
                 break
-            step *= config.backtrack_factor
+            step *= 0.5
         f_comp = f_z + float(penalty(z))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = z + ((t - 1.0) / t_next) * (z - x)
@@ -173,7 +168,8 @@ def grad_w_row(y_obs, c_obs, b_row, T, w_aug, tau, epsilon=1e-6):
 
 def grad_c_column(y_obs, w_obs, mu_obs, c, gamma, tau):
     """Gradient of one learner's knowledge-column subproblem (fully smooth)."""
-    return c_column_subproblem(y_obs, w_obs, mu_obs, gamma, tau).smooth_gradient(c)
+    sub = c_column_subproblem(y_obs, w_obs, mu_obs, gamma, tau)
+    return sub.smooth_gradient(np.asarray(c, dtype=float))
 
 
 def grad_t_column(b_col, W, t, eta, epsilon=1e-6):
@@ -188,22 +184,14 @@ def grad_t_column(b_col, W, t, eta, epsilon=1e-6):
 
 def w_row_subproblem(y_obs, c_obs, b_row, T, tau, lam, epsilon=1e-6):
     """Composite problem for one row [w_i | mu_i] of the association block."""
-    return w_block_subproblem(np.asarray(y_obs, dtype=float), 1.0, c_obs,
-                              b_row, T, tau, lam, epsilon)
+    y = np.asarray(y_obs, dtype=float)
+    return w_block_subproblem((np.arange(y.size), y), c_obs, b_row, T, tau, lam, epsilon)
 
 
 def c_column_subproblem(y_obs, w_obs, mu_obs, gamma, tau):
     """Smooth problem for one learner column of C; identity prox."""
-    block = c_block_subproblem(np.asarray(y_obs, dtype=float)[:, None], 1.0,
-                               w_obs, np.asarray(mu_obs, dtype=float), gamma, tau)
-
-    def value(c):
-        return block.smooth_value(np.asarray(c, dtype=float)[:, None])
-
-    def gradient(c):
-        return block.smooth_gradient(np.asarray(c, dtype=float)[:, None])[:, 0]
-
-    return Subproblem(value, gradient, block.prox)
+    y = np.asarray(y_obs, dtype=float)
+    return c_block_subproblem((np.arange(y.size), y), w_obs, mu_obs, gamma, tau)
 
 
 def t_column_subproblem(b_col, W, eta, epsilon=1e-6):
@@ -211,23 +199,40 @@ def t_column_subproblem(b_col, W, eta, epsilon=1e-6):
     return t_block_subproblem(np.asarray(b_col, dtype=float), W, eta, epsilon)
 
 
-def w_block_subproblem(grades, mask, c_aug, counts, T, tau, lam, epsilon=1e-6):
-    """Stacked [W | mu] problem covering every question at once.
+def _observed_bernoulli(cells, y, tau):
+    """Bernoulli value and slope grid of a slack grid Z graded y at ``cells``.
 
-    ``grades`` and ``mask`` are dense Q x N float arrays (mask zeroes the
-    unobserved cells); ``c_aug`` is (K+1) x N with a trailing ones row.
-    ``counts=None, T=None`` drops the word-count term. A 1-D variable with
-    1-D grades and ``mask=1.0`` is the problem of a single row.
+    cells index Z row-major, in any order; unobserved cells get slope zero.
     """
 
+    def value(Z):
+        return float(np.sum(bernoulli_nll(y, np.take(Z, cells), tau)))
+
+    def slope(Z):
+        s = bernoulli_slope(y, np.take(Z, cells), tau)
+        return np.bincount(cells, s, Z.size).reshape(Z.shape)
+
+    return value, slope
+
+
+def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
+    """Stacked [W | mu] problem covering every question at once.
+
+    ``grades = (cells, y)`` indexes the Q x N slacks X @ c_aug (see
+    ``_observed_bernoulli``); ``c_aug`` is (K+1) x N with a trailing ones
+    row. ``counts=None, T=None`` drops the word-count term. A 1-D variable
+    is the problem of a single row.
+    """
+    bern_value, bern_slope = _observed_bernoulli(*grades, tau)
+
     def value(X):
-        bern = float(np.sum(bernoulli_nll(grades, X @ c_aug, tau) * mask))
+        bern = bern_value(X @ c_aug)
         if counts is None:
             return bern
         return bern + float(np.sum(poisson_nll(counts, X[..., :-1] @ T, epsilon)))
 
     def gradient(X):
-        g = (mask * bernoulli_slope(grades, X @ c_aug, tau)) @ c_aug.T
+        g = bern_slope(X @ c_aug) @ c_aug.T
         if counts is not None:
             g[..., :-1] += poisson_slope(counts, X[..., :-1] @ T, epsilon) @ T.T
         return g
@@ -241,16 +246,15 @@ def w_block_subproblem(grades, mask, c_aug, counts, T, tau, lam, epsilon=1e-6):
     return Subproblem(value, gradient, prox, penalty)
 
 
-def c_block_subproblem(grades, mask, W, mu, gamma, tau):
-    """Stacked knowledge problem covering every learner column of C."""
-    offset = mu[:, None]
+def c_block_subproblem(grades, W, mu, gamma, tau):
+    """Stacked knowledge problem over every learner column of C, or one 1-D column."""
+    bern_value, bern_slope = _observed_bernoulli(*grades, tau)
 
     def value(C):
-        bern = float(np.sum(bernoulli_nll(grades, W @ C + offset, tau) * mask))
-        return bern + 0.5 * gamma * float(np.vdot(C, C))
+        return bern_value(((W @ C).T + mu).T) + 0.5 * gamma * float(np.vdot(C, C))
 
     def gradient(C):
-        return W.T @ (mask * bernoulli_slope(grades, W @ C + offset, tau)) + gamma * C
+        return W.T @ bern_slope(((W @ C).T + mu).T) + gamma * C
 
     def prox(point, step):
         return point

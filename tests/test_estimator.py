@@ -157,7 +157,3 @@ class TestConfigValidation:
     def test_rejects_bad_inner(self):
         with pytest.raises(ValidationError):
             FistaConfig(max_iterations=0)
-        with pytest.raises(ValidationError):
-            FistaConfig(backtrack_factor=1.0)
-        with pytest.raises(ValidationError):
-            FistaConfig(initial_step=0.0)

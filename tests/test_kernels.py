@@ -72,7 +72,10 @@ def test_scalar_kernels_return_floats(y, z, tau):
 
 
 def blocks_instance(seed, Q, N, V, K):
-    """Random factors and data with one unobserved learner and one unused word."""
+    """Random factors and data with one unobserved learner and one unused word.
+
+    ``observed`` is the (cells, y) form of the grades the block builders take.
+    """
     rng = np.random.default_rng(seed)
     W = rng.uniform(0.1, 1.1, size=(Q, K))
     mu = rng.standard_normal(Q)
@@ -83,7 +86,9 @@ def blocks_instance(seed, Q, N, V, K):
     grades = (rng.random((Q, N)) < 0.5) * mask
     counts = rng.poisson(W @ T).astype(float)
     counts[:, rng.integers(V)] = 0.0
-    return W, mu, C, T, mask, grades, counts
+    cells = np.flatnonzero(mask)
+    observed = (cells, grades.ravel()[cells])
+    return W, mu, C, T, mask, grades, observed, counts
 
 
 def summed_bernoulli(mask, grades, W, mu, C, tau):
@@ -115,19 +120,19 @@ block_cases = dict(
 @given(**block_cases)
 @settings(max_examples=40, deadline=None)
 def test_block_values_match_the_summed_oracle(seed, Q, N, V, K, tau):
-    W, mu, C, T, mask, grades, counts = blocks_instance(seed, Q, N, V, K)
+    W, mu, C, T, mask, grades, observed, counts = blocks_instance(seed, Q, N, V, K)
     lam, gamma, eta = 0.2, 0.4, 0.3
     bern = summed_bernoulli(mask, grades, W, mu, C, tau)
     pois = summed_poisson(counts, W, T)
 
     c_aug = np.vstack([C, np.ones((1, N))])
     X = np.hstack([W, mu[:, None]])
-    sub = w_block_subproblem(grades, mask, c_aug, counts, T, tau, lam, EPSILON)
+    sub = w_block_subproblem(observed, c_aug, counts, T, tau, lam, EPSILON)
     assert sub.smooth_value(X) == approx(bern + pois, rel=1e-12, abs=1e-12)
-    sub = w_block_subproblem(grades, mask, c_aug, None, None, tau, lam, EPSILON)
+    sub = w_block_subproblem(observed, c_aug, None, None, tau, lam, EPSILON)
     assert sub.smooth_value(X) == approx(bern, rel=1e-12, abs=1e-12)
 
-    sub = c_block_subproblem(grades, mask, W, mu, gamma, tau)
+    sub = c_block_subproblem(observed, W, mu, gamma, tau)
     ridge_c = 0.5 * gamma * float(np.sum(C**2))
     assert sub.smooth_value(C) == approx(bern + ridge_c, rel=1e-12, abs=1e-12)
 
@@ -140,7 +145,7 @@ def test_block_values_match_the_summed_oracle(seed, Q, N, V, K, tau):
 @settings(max_examples=25, deadline=None)
 def test_block_gradients_match_central_differences_of_the_oracle(seed, Q, N, V, K,
                                                                  tau):
-    W, mu, C, T, mask, grades, counts = blocks_instance(seed, Q, N, V, K)
+    W, mu, C, T, mask, grades, observed, counts = blocks_instance(seed, Q, N, V, K)
     lam, gamma, eta = 0.2, 0.4, 0.3
     c_aug = np.vstack([C, np.ones((1, N))])
     X = np.hstack([W, mu[:, None]])
@@ -148,7 +153,7 @@ def test_block_gradients_match_central_differences_of_the_oracle(seed, Q, N, V, 
     def tol(fd):
         return approx(fd, rel=1e-5, abs=1e-5)
 
-    sub = w_block_subproblem(grades, mask, c_aug, counts, T, tau, lam, EPSILON)
+    sub = w_block_subproblem(observed, c_aug, counts, T, tau, lam, EPSILON)
     fd = central_difference(
         lambda x: summed_bernoulli(mask, grades, x[:, :-1], x[:, -1], C, tau)
         + summed_poisson(counts, x[:, :-1], T),
@@ -156,7 +161,7 @@ def test_block_gradients_match_central_differences_of_the_oracle(seed, Q, N, V, 
     )
     assert sub.smooth_gradient(X) == tol(fd)
 
-    sub = c_block_subproblem(grades, mask, W, mu, gamma, tau)
+    sub = c_block_subproblem(observed, W, mu, gamma, tau)
     fd = central_difference(
         lambda c: summed_bernoulli(mask, grades, W, mu, c, tau)
         + 0.5 * gamma * float(np.sum(c**2)),
@@ -179,3 +184,23 @@ def test_block_gradients_match_central_differences_of_the_oracle(seed, Q, N, V, 
     unused = np.flatnonzero(counts.sum(axis=0) == 0)
     expected = W.T @ np.ones((Q, unused.size)) + eta * T[:, unused]
     assert got[:, unused] == approx(expected, rel=1e-12)
+
+
+@given(**block_cases, order_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_blocks_do_not_depend_on_the_order_of_the_observed_entries(seed, Q, N, V, K,
+                                                                   tau, order_seed):
+    W, mu, C, T, mask, grades, observed, counts = blocks_instance(seed, Q, N, V, K)
+    cells, y = observed
+    order = np.random.default_rng(order_seed).permutation(cells.size)
+    shuffled = (cells[order], y[order])
+    c_aug = np.vstack([C, np.ones((1, N))])
+    X = np.hstack([W, mu[:, None]])
+
+    for build, x in (
+        (lambda g: w_block_subproblem(g, c_aug, counts, T, tau, 0.2, EPSILON), X),
+        (lambda g: c_block_subproblem(g, W, mu, 0.4, tau), C),
+    ):
+        sub, moved = build(observed), build(shuffled)
+        assert np.array_equal(moved.smooth_gradient(x), sub.smooth_gradient(x))
+        assert moved.smooth_value(x) == approx(sub.smooth_value(x), rel=1e-12)

@@ -235,9 +235,11 @@ class TestDomainTypes:
         sub = Y.subset([0, 2])
         assert sub.entries == [(0, 0, 1), (1, 1, 1)]
         assert sub.num_questions == 2 and sub.num_learners == 3
-        mask, grades = Y.dense()
-        assert mask.sum() == 3
-        assert grades[0, 0] == 1 and grades[0, 2] == 0
+        assert Y.cells.tolist() == [0, 2, 4]
+        assert np.array_equal(Y.cells, Y.question_idx * 3 + Y.learner_idx)
+        assert not Y.cells.flags.writeable
+        assert sub.cells.tolist() == [0, 4]
+        assert np.array_equal(sub.cells, sub.question_idx * 3 + sub.learner_idx)
 
     def test_word_counts_validation(self):
         with pytest.raises(ValidationError):

@@ -323,13 +323,13 @@ class TestStackedBlocks:
         from conceptfit import GradedResponseSet
 
         Y = GradedResponseSet(5, 6, entries)
-        mask, grades = Y.dense()
+        grades = (Y.cells, Y.grades.astype(float))
         c_aug = np.vstack([C, np.ones((1, 6))])
         x0 = np.hstack([W, mu[:, None]])
         cfg = FistaConfig(max_iterations=3000, relative_tolerance=1e-13)
         tau, lam = 1.5, 0.2
 
-        block = w_block_subproblem(grades, mask, c_aug, counts.astype(float), T, tau, lam)
+        block = w_block_subproblem(grades, c_aug, counts.astype(float), T, tau, lam)
         res = fista_minimize(
             block.smooth_gradient, block.smooth_value, block.prox, x0, cfg,
             block.nonsmooth_value,
@@ -354,12 +354,12 @@ class TestStackedBlocks:
         from conceptfit import GradedResponseSet
 
         Y = GradedResponseSet(4, 5, entries)
-        mask, grades = Y.dense()
+        grades = (Y.cells, Y.grades.astype(float))
         c_aug = np.vstack([C, np.ones((1, 5))])
         X = np.hstack([W, mu[:, None]])
         tau, lam, gamma, eta = 1.3, 0.2, 0.4, 0.3
 
-        block = w_block_subproblem(grades, mask, c_aug, counts.astype(float), T, tau, lam)
+        block = w_block_subproblem(grades, c_aug, counts.astype(float), T, tau, lam)
         G = block.smooth_gradient(X)
         for i in range(4):
             keep = [(j, y) for qi, j, y in entries if qi == i]
@@ -368,7 +368,7 @@ class TestStackedBlocks:
             g = grad_w_row(y_obs, c_obs, counts[i].astype(float), T, X[i], tau)
             assert G[i] == approx(g, rel=1e-10, abs=1e-12)
 
-        block = c_block_subproblem(grades, mask, W, mu, gamma, tau)
+        block = c_block_subproblem(grades, W, mu, gamma, tau)
         G = block.smooth_gradient(C)
         for j in range(5):
             keep = [(i, y) for i, lj, y in entries if lj == j]
