@@ -314,8 +314,8 @@ def build_parser():
     group.add_argument("--folds", type=int, default=None,
                        help="k-fold cross-validation instead of one holdout")
     p.add_argument("--threads", type=int, default=1,
-                   help="grid points fitted in parallel; 1 is bitwise "
-                        "reproducible (default 1)")
+                   help="worker processes fitting grid points in parallel; "
+                        "the scores equal those of a serial run (default 1)")
     _add_text_options(p)
     _add_config_options(p)
     p.add_argument("--table", required=True, help="score table CSV to write")

@@ -1,5 +1,6 @@
 """Holdout scoring, hyperparameter grid search, and concept interpretation."""
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -188,9 +189,11 @@ def cross_validate(responses, word_counts, grid, config, folds_or_fraction=0.2,
     by ``folds_or_fraction`` (a float for one random holdout, an int >= 2
     for k folds) and is scored by mean predicted likelihood. Ties are
     broken toward larger lam (sparser associations), then smaller tau, then
-    grid order. Returns (best params, full score table). Raises
-    InfeasibleSplitError when the holdout or any fold would leave a
-    question or learner without a training entry.
+    grid order. With ``n_threads`` > 1 the grid points are fitted in that
+    many spawned worker processes, with the same scores as a serial run.
+    Returns (best params, full score table). Raises InfeasibleSplitError
+    when the holdout or any fold would leave a question or learner without
+    a training entry.
     """
     grid = list(grid)
     if not grid:
@@ -198,7 +201,10 @@ def cross_validate(responses, word_counts, grid, config, folds_or_fraction=0.2,
     folds = _make_folds(responses, folds_or_fraction, config.rng_seed)
     jobs = [(responses, word_counts, params, config, folds) for params in grid]
     if n_threads > 1:
-        with ProcessPoolExecutor(max_workers=n_threads) as pool:
+        # spawn, not fork: forking a process whose BLAS has started threads
+        # can deadlock the child
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=n_threads, mp_context=spawn) as pool:
             outcomes = list(pool.map(_score_point, jobs))
     else:
         outcomes = [_score_point(job) for job in jobs]

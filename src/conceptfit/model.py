@@ -245,29 +245,31 @@ class FitReport:
 def inverse_logit(x):
     """Logistic map 1 / (1 + exp(-x)).
 
-    Evaluated piecewise so neither branch exponentiates a large positive
-    number; safe well past |x| = 700. NaN in gives NaN out.
+    With e = exp(-|x|) it is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
+    so exp never sees a positive argument and cannot overflow; safe well past
+    |x| = 700. NaN in gives NaN out. Both branches are computed for the whole
+    array and picked with ``np.where``, which keeps every call on numpy's
+    vectorised ``exp`` loop instead of gathering through boolean masks.
     """
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
+    arr = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return float(out) if out.ndim == 0 else out
 
 
 def bernoulli_nll(y, z, tau):
     """Negative log-likelihood of grade y given slack z at precision tau.
 
-    Computed as softplus(-tau*z) + (1 - y)*tau*z, which never forms
-    exp of a large positive argument.
+    softplus(-tau*z) + (1 - y)*tau*z, with the softplus written as
+    max(-tau*z, 0) + log1p(exp(-|tau*z|)): exp never sees a positive
+    argument, and numpy runs ``exp`` and ``log1p`` on its vectorised loops,
+    where its ``logaddexp`` runs a scalar one.
     """
     if not tau > 0:
         raise ValidationError("tau must be > 0")
     tz = tau * np.asarray(z, dtype=float)
-    val = np.logaddexp(0.0, -tz) + (1.0 - np.asarray(y, dtype=float)) * tz
+    val = (np.maximum(-tz, 0.0) + np.log1p(np.exp(-np.abs(tz)))
+           + (1.0 - np.asarray(y, dtype=float)) * tz)
     return val if isinstance(val, np.ndarray) else float(val)
 
 

@@ -19,6 +19,27 @@ def naive_bernoulli_nll(y, z, tau):
     return math.log1p(math.exp(-abs(u))) + max(u, 0.0)
 
 
+def piecewise_inverse_logit(x):
+    """Logistic map gathered and scattered through the sign masks.
+
+    Each branch exponentiates only the entries of its own sign, so it never
+    sees a positive argument.
+    """
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def logaddexp_bernoulli_nll(y, z, tau):
+    """Bernoulli negative log-likelihood with numpy's own softplus."""
+    tz = tau * np.asarray(z, dtype=float)
+    return np.logaddexp(0.0, -tz) + (1.0 - np.asarray(y, dtype=float)) * tz
+
+
 def naive_poisson_nll(b, a_raw, epsilon=1e-6):
     a = max(a_raw, epsilon)
     return a - b * math.log(a)

@@ -8,13 +8,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from pytest import approx
 
-from conceptfit.model import bernoulli_nll, bernoulli_slope, poisson_nll, poisson_slope
+from conceptfit.model import (
+    bernoulli_nll,
+    bernoulli_slope,
+    inverse_logit,
+    poisson_nll,
+    poisson_slope,
+)
 from conceptfit.solvers import (
     c_block_subproblem,
     t_block_subproblem,
     w_block_subproblem,
 )
-from oracles import central_difference, naive_bernoulli_nll, naive_poisson_nll
+from oracles import (
+    central_difference,
+    logaddexp_bernoulli_nll,
+    naive_bernoulli_nll,
+    naive_poisson_nll,
+    piecewise_inverse_logit,
+)
 
 H = 1e-5
 EPSILON = 1e-6
@@ -25,6 +37,63 @@ taus = st.floats(0.1, 3.0)
 
 def scalar_difference(f, x):
     return (f(x + H) - f(x - H)) / (2.0 * H)
+
+
+def same_bits(got, ref):
+    """Bit-for-bit equality, except that any NaN matches any NaN.
+
+    The sign and payload of a NaN carry nothing and are not kept by numpy's
+    ufuncs.
+    """
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    nan = np.isnan(ref)
+    return (got.shape == ref.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64)))
+
+
+any_floats = st.floats(allow_nan=True, allow_infinity=True)
+edge_floats = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 700.0, -700.0, 745.2, -745.2,
+     750.0, -750.0, 1e300, -1e300, 5e-324, -5e-324]
+)
+
+
+@given(x=st.lists(st.one_of(any_floats, edge_floats), min_size=1, max_size=30))
+@settings(deadline=None)
+def test_inverse_logit_is_bitwise_the_piecewise_reference(x):
+    # io.simulate draws grades against these probabilities, so any change in
+    # a bit would change a seeded data set
+    assert same_bits(inverse_logit(np.array(x)), piecewise_inverse_logit(x))
+    for v in x[:3]:
+        got = inverse_logit(v)
+        assert isinstance(got, float)
+        assert same_bits(got, piecewise_inverse_logit(v)[0])
+
+
+@given(data=st.data(), shape=shapes, tau=taus)
+@settings(deadline=None)
+def test_bernoulli_nll_matches_the_logaddexp_reference(data, shape, tau):
+    slacks = st.one_of(st.floats(-40, 40), st.floats(-1e6, 1e6))
+    z = data.draw(arrays(float, shape, elements=slacks))
+    y = data.draw(arrays(float, shape, elements=st.sampled_from([0.0, 1.0])))
+    got, ref = bernoulli_nll(y, z, tau), logaddexp_bernoulli_nll(y, z, tau)
+    assert got.shape == shape
+    # for y = 0 and tau*z < 0 the value is softplus(-tau*z) + tau*z, two terms
+    # near |tau*z| that cancel, so both forms are exact to a few ulps of
+    # |tau*z| there rather than of the value
+    scale = np.maximum(np.abs(ref), (1.0 - y) * np.abs(tau * z))
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+@given(y=st.sampled_from([0.0, 1.0]),
+       tz=st.one_of(st.floats(-1e300, 1e300), edge_floats.filter(math.isfinite)))
+@settings(deadline=None)
+def test_bernoulli_kernels_raise_no_floating_point_error(y, tz):
+    z = np.array([tz, -tz])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        inverse_logit(z)
+        bernoulli_nll(y, z, 1.0)
+        bernoulli_slope(y, z, 1.0)
 
 
 @given(data=st.data(), shape=shapes, tau=taus)
