@@ -47,7 +47,6 @@ from .model import (
     bernoulli_nll,
     inverse_logit,
     objective,
-    objective_responses_only,
     poisson_nll,
     predict_response_prob,
 )

@@ -9,8 +9,10 @@ exit code is nonzero.
 import argparse
 import sys
 
+import numpy as np
+
 from .errors import ConceptfitError
-from .estimator import FitConfig, fit, fit_responses_only
+from .estimator import FitConfig, fit
 from .evaluation import (
     cross_validate,
     holdout_split,
@@ -35,7 +37,7 @@ from .io import (
     write_responses_csv,
     write_scores_csv,
 )
-from .model import FitReport, HyperParams
+from .model import FitReport, HyperParams, WordCountMatrix
 from .solvers import FistaConfig
 from .text import build_vocabulary, count_matrix, load_stop_words
 
@@ -98,12 +100,20 @@ def _print_fit_summary(path, report):
     )
 
 
-def cmd_fit(args):
-    loaded = load_responses(args.responses)
+def _word_counts(args, loaded):
+    """(vocabulary, counts) of the question text; zero words without a corpus."""
+    if args.corpus is None:
+        num_questions = loaded.responses.num_questions
+        return (), WordCountMatrix(num_questions, (), np.zeros((num_questions, 0)))
     corpus = load_corpus(args.corpus, loaded.question_ids)
     stops = load_stop_words(args.stop_words)
     vocabulary = build_vocabulary(corpus, stops, args.min_count)
-    word_counts = count_matrix(corpus, vocabulary)
+    return vocabulary, count_matrix(corpus, vocabulary)
+
+
+def cmd_fit(args):
+    loaded = load_responses(args.responses)
+    vocabulary, word_counts = _word_counts(args, loaded)
     params = HyperParams(args.lam, args.gamma, args.eta, args.tau,
                          args.num_concepts, args.epsilon)
     state, report = fit(
@@ -112,21 +122,6 @@ def cmd_fit(args):
     archive = ModelArchive(state, params, tuple(vocabulary),
                            tuple(loaded.question_ids), tuple(loaded.learner_ids),
                            report)
-    save_archive(archive, args.output)
-    _print_fit_summary(args.output, report)
-    return 0
-
-
-def cmd_fit_baseline(args):
-    loaded = load_responses(args.responses)
-    # eta is unused without a word channel but HyperParams requires it
-    params = HyperParams(args.lam, args.gamma, 1.0, args.tau,
-                         args.num_concepts, args.epsilon)
-    state, report = fit_responses_only(
-        _train_side(loaded.responses, args), params, _config_from(args)
-    )
-    archive = ModelArchive(state, params, (), tuple(loaded.question_ids),
-                           tuple(loaded.learner_ids), report)
     save_archive(archive, args.output)
     _print_fit_summary(args.output, report)
     return 0
@@ -194,10 +189,7 @@ def cmd_evaluate(args):
 
 def cmd_cv(args):
     loaded = load_responses(args.responses)
-    corpus = load_corpus(args.corpus, loaded.question_ids)
-    stops = load_stop_words(args.stop_words)
-    vocabulary = build_vocabulary(corpus, stops, args.min_count)
-    word_counts = count_matrix(corpus, vocabulary)
+    vocabulary, word_counts = _word_counts(args, loaded)
     grid = read_grid_csv(args.grid)
     config = _config_from(args)
     folds_or_fraction = args.folds if args.folds is not None else args.fraction
@@ -281,7 +273,9 @@ def build_parser():
     _add_config_options(p)
     p.add_argument("--holdout-fraction", type=float, default=None)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_fit_baseline)
+    # the joint fit over zero words; eta weighs nothing then, but
+    # HyperParams requires it and the archive records it
+    p.set_defaults(func=cmd_fit, corpus=None, eta=1.0)
 
     p = sub.add_parser("predict", help="probabilities for listed pairs")
     p.add_argument("--archive", required=True)

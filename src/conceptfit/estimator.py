@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError, ValidationError
-from .model import FactorState, FitReport, objective, objective_responses_only
+from .model import FactorState, FitReport, WordCountMatrix, objective
 from .solvers import (
     FistaConfig,
     c_block_subproblem,
@@ -63,8 +63,10 @@ def initialize(num_questions, num_learners, num_words, num_concepts, rng_seed):
 def fit(responses, word_counts, params, config=None):
     """Estimate all four factors from grades plus word counts.
 
-    Returns (FactorState, FitReport). Raises DivergenceError, carrying the
-    last finite state, if a sweep ever produces a non-finite objective.
+    A vocabulary of zero words gives the grades-only fit
+    (``fit_responses_only``). Returns (FactorState, FitReport). Raises
+    DivergenceError, carrying the last finite state, if a sweep ever
+    produces a non-finite objective.
     """
     config = config or FitConfig()
     if word_counts.num_questions != responses.num_questions:
@@ -82,36 +84,24 @@ def fit(responses, word_counts, params, config=None):
 
 
 def fit_responses_only(responses, params, config=None):
-    """Grades-only baseline: same loop with the word channel removed.
+    """Grades-only baseline: ``fit`` over an empty vocabulary.
 
-    The returned state carries an empty (K x 0) T. Equivalent to letting
-    the precision dominate until the text term stops mattering, realized
-    structurally instead of numerically.
+    With no words the Poisson term and the ridge on T are both zero, so
+    the objective is the Bernoulli likelihood plus the penalties on W and
+    C. The returned state carries an empty (K x 0) T.
     """
-    config = config or FitConfig()
-    state = initialize(
-        responses.num_questions,
-        responses.num_learners,
-        0,
-        params.num_concepts,
-        config.rng_seed,
-    )
-    return _descend(responses, None, state, params, config)
+    no_words = WordCountMatrix(responses.num_questions, (),
+                               np.zeros((responses.num_questions, 0)))
+    return fit(responses, no_words, params, config)
 
 
 def _descend(responses, word_counts, state, params, config):
     start = time.perf_counter()
     grades = (responses.cells, responses.grades.astype(float))
-    use_text = word_counts is not None
-    counts = word_counts.counts.astype(float) if use_text else None
+    counts = word_counts.counts.astype(float)
     ones = np.ones((1, responses.num_learners))
 
-    def full_objective(s):
-        if use_text:
-            return objective(responses, word_counts, s, params)
-        return objective_responses_only(responses, s, params)
-
-    previous = full_objective(state)
+    previous = objective(responses, word_counts, state, params)
     if not np.isfinite(previous):
         raise DivergenceError(
             "objective non-finite at initialization",
@@ -125,8 +115,7 @@ def _descend(responses, word_counts, state, params, config):
 
         w_aug = np.hstack([state.W, state.mu[:, None]])
         sub = w_block_subproblem(
-            grades, np.vstack([state.C, ones]),
-            counts, state.T if use_text else None,
+            grades, np.vstack([state.C, ones]), counts, state.T,
             params.tau, params.lam, params.epsilon,
         )
         w_aug = fista_minimize(
@@ -140,16 +129,13 @@ def _descend(responses, word_counts, state, params, config):
             sub.smooth_gradient, sub.smooth_value, sub.prox, state.C, config.inner
         ).solution
 
-        if use_text:
-            sub = t_block_subproblem(counts, W, params.eta, params.epsilon)
-            T = fista_minimize(
-                sub.smooth_gradient, sub.smooth_value, sub.prox, state.T, config.inner
-            ).solution
-        else:
-            T = state.T
+        sub = t_block_subproblem(counts, W, params.eta, params.epsilon)
+        T = fista_minimize(
+            sub.smooth_gradient, sub.smooth_value, sub.prox, state.T, config.inner
+        ).solution
 
         state = FactorState(W, mu, C, T)
-        current = full_objective(state)
+        current = objective(responses, word_counts, state, params)
         if not np.isfinite(current):
             raise DivergenceError(
                 f"non-finite objective after sweep {len(trace) + 1}",

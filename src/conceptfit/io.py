@@ -274,22 +274,33 @@ def load_archive(path):
     for key in required:
         if key not in doc:
             raise DataFormatError(f"archive is missing field {key!r}", path)
-    dims = doc["dimensions"]
-    # a K x 0 matrix arrives as K empty lists; asarray turns that into (K, 0)
-    state = FactorState(
-        doc["W"], doc["mu"], doc["C"], np.asarray(doc["T"], dtype=float)
-    )
-    hyper = doc["hyperparameters"]
-    params = None
-    if hyper is not None:
-        params = HyperParams(
-            lam=hyper["lambda"],
-            gamma=hyper["gamma"],
-            eta=hyper["eta"],
-            tau=hyper["tau"],
-            num_concepts=int(hyper["num_concepts"]),
-            epsilon=hyper["epsilon"],
+    dims, hyper, fr = doc["dimensions"], doc["hyperparameters"], doc["fit_report"]
+    try:
+        # a K x 0 matrix arrives as K empty lists; asarray turns that into (K, 0)
+        state = FactorState(
+            doc["W"], doc["mu"], doc["C"], np.asarray(doc["T"], dtype=float)
         )
+        params = None
+        if hyper is not None:
+            params = HyperParams(
+                lam=hyper["lambda"],
+                gamma=hyper["gamma"],
+                eta=hyper["eta"],
+                tau=hyper["tau"],
+                num_concepts=int(hyper["num_concepts"]),
+                epsilon=hyper["epsilon"],
+            )
+        report = FitReport(
+            tuple(fr["objective_trace"]),
+            bool(fr["converged"]),
+            int(fr["outer_iterations"]),
+            0.0,
+        )
+    except KeyError as exc:
+        raise DataFormatError(f"archive is missing field {exc.args[0]!r}", path) from None
+    except (TypeError, ValueError) as exc:
+        # ragged arrays, and numbers given as strings or objects
+        raise DataFormatError(f"malformed archive field: {exc}", path) from None
     expected = {
         "num_questions": state.num_questions,
         "num_learners": state.num_learners,
@@ -301,13 +312,6 @@ def load_archive(path):
             f"dimensions block {dims} does not match the stored arrays {expected}",
             path,
         )
-    fr = doc["fit_report"]
-    report = FitReport(
-        tuple(fr["objective_trace"]),
-        bool(fr["converged"]),
-        int(fr["outer_iterations"]),
-        0.0,
-    )
     return ModelArchive(
         state,
         params,
@@ -322,11 +326,18 @@ def _dot_quote(label):
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _concept_keywords(archive):
+    """Each concept's top three keywords; none over an empty vocabulary."""
+    if not archive.state.num_words:
+        return {}
+    return {
+        summary.concept_index: [w for w, _ in summary.keywords]
+        for summary in top_keywords(archive.state, list(archive.vocabulary), 3)
+    }
+
+
 def _graph_to_dot(graph, archive):
-    keywords = {}
-    if archive.state.num_words:
-        for summary in top_keywords(archive.state, list(archive.vocabulary), 3):
-            keywords[summary.concept_index] = [w for w, _ in summary.keywords]
+    keywords = _concept_keywords(archive)
     lines = ["graph associations {"]
     for i, mu in graph.question_nodes:
         label = f"{archive.question_ids[i]}\\nmu={mu:.2f}"
@@ -344,10 +355,7 @@ def _graph_to_dot(graph, archive):
 
 
 def _graph_to_json(graph, archive):
-    keywords = {}
-    if archive.state.num_words:
-        for summary in top_keywords(archive.state, list(archive.vocabulary), 3):
-            keywords[summary.concept_index] = [w for w, _ in summary.keywords]
+    keywords = _concept_keywords(archive)
     nodes = [
         {
             "id": f"q{i}",
@@ -451,14 +459,21 @@ def learner_labels(num_learners):
     return [f"s{j + 1:0{width}d}" for j in range(num_learners)]
 
 
-def write_responses_csv(responses, question_ids, learner_ids, path):
+def _write_csv(path, header, rows):
+    """Write a header line and the rows as UTF-8 CSV with bare LF line ends."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_RESPONSES_HEADER)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_responses_csv(responses, question_ids, learner_ids, path):
+    _write_csv(path, _RESPONSES_HEADER, (
+        [question_ids[i], learner_ids[j], int(y)]
         for i, j, y in zip(
             responses.question_idx, responses.learner_idx, responses.grades
-        ):
-            writer.writerow([question_ids[i], learner_ids[j], int(y)])
+        )
+    ))
 
 
 def write_corpus_jsonl(word_counts, question_ids, path):
@@ -521,25 +536,20 @@ def read_grid_csv(path):
 
 def write_scores_csv(table, path):
     """Emit the cross-validation score table (the data behind a tau curve)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "gamma", "eta", "tau", "mean_likelihood", "converged"])
-        for row in table:
-            p = row.params
-            score = "" if row.score is None else repr(row.score)
-            writer.writerow(
-                [repr(p.lam), repr(p.gamma), repr(p.eta), repr(p.tau), score,
-                 str(row.converged).lower()]
-            )
+    _write_csv(path, ["lambda", "gamma", "eta", "tau", "mean_likelihood", "converged"], (
+        [repr(row.params.lam), repr(row.params.gamma), repr(row.params.eta),
+         repr(row.params.tau), "" if row.score is None else repr(row.score),
+         str(row.converged).lower()]
+        for row in table
+    ))
 
 
 def write_keywords_csv(summaries, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["concept", "rank", "word", "weight"])
-        for summary in summaries:
-            for rank, (word, weight) in enumerate(summary.keywords, start=1):
-                writer.writerow([summary.concept_index, rank, word, repr(weight)])
+    _write_csv(path, ["concept", "rank", "word", "weight"], (
+        [summary.concept_index, rank, word, repr(weight)]
+        for summary in summaries
+        for rank, (word, weight) in enumerate(summary.keywords, start=1)
+    ))
 
 
 def read_entries_csv(path):
@@ -566,8 +576,6 @@ def read_entries_csv(path):
 
 
 def write_predictions_csv(rows, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["question_id", "learner_id", "probability"])
-        for qid, lid, prob in rows:
-            writer.writerow([qid, lid, repr(float(prob))])
+    _write_csv(path, ["question_id", "learner_id", "probability"], (
+        [qid, lid, repr(float(prob))] for qid, lid, prob in rows
+    ))

@@ -37,7 +37,6 @@ __all__ = [
     "poisson_slope",
     "observed_slacks",
     "objective",
-    "objective_responses_only",
     "predict_response_prob",
 ]
 
@@ -315,15 +314,14 @@ def _check_dims(responses, word_counts, state, params):
         )
     if params.num_concepts != state.num_concepts:
         raise DimensionMismatchError("concepts", params.num_concepts, state.num_concepts)
-    if word_counts is not None:
-        if word_counts.num_questions != responses.num_questions:
-            raise DimensionMismatchError(
-                "questions", responses.num_questions, word_counts.num_questions
-            )
-        if state.num_words != word_counts.num_words:
-            raise DimensionMismatchError(
-                "vocabulary", word_counts.num_words, state.num_words
-            )
+    if word_counts.num_questions != responses.num_questions:
+        raise DimensionMismatchError(
+            "questions", responses.num_questions, word_counts.num_questions
+        )
+    if state.num_words != word_counts.num_words:
+        raise DimensionMismatchError(
+            "vocabulary", word_counts.num_words, state.num_words
+        )
 
 
 def observed_slacks(state, question_idx, learner_idx):
@@ -353,18 +351,13 @@ def objective(responses, word_counts, state, params):
     Bernoulli NLL over observed grades + Poisson NLL over every
     question/word cell + l1 on W + ridge on C and T. Unobserved grades are
     skipped entirely, never imputed. mu contributes to the slacks but not
-    to the l1 term.
+    to the l1 term. Over a vocabulary of zero words (a K x 0 T) the Poisson
+    and T terms are zero and this is the grades-only objective.
     """
     _check_dims(responses, word_counts, state, params)
     pois = float(np.sum(poisson_nll(word_counts.counts, state.W @ state.T,
                                     params.epsilon)))
     return _bernoulli_sum(responses, state, params.tau) + pois + _penalties(state, params)
-
-
-def objective_responses_only(responses, state, params):
-    """Objective without the word-count channel (grades-only baseline)."""
-    _check_dims(responses, None, state, params)
-    return _bernoulli_sum(responses, state, params.tau) + _penalties(state, params)
 
 
 def predict_response_prob(state, i, j, tau):

@@ -158,9 +158,10 @@ def grad_w_row(y_obs, c_obs, b_row, T, w_aug, tau, epsilon=1e-6):
 
     ``c_obs`` is the (K+1) x m matrix of knowledge columns for that
     question's observed learners, with a trailing all-ones row multiplying
-    the difficulty slot. Pass ``b_row=None, T=None`` to drop the word-count
-    term (grades-only fits). The precision tau multiplies the Bernoulli
-    residual, as the chain rule through the tau-scaled logit requires.
+    the difficulty slot. An empty vocabulary (a length-0 ``b_row`` and a
+    K x 0 ``T``) drops the word-count term, as in grades-only fits. The
+    precision tau multiplies the Bernoulli residual, as the chain rule
+    through the tau-scaled logit requires.
     """
     sub = w_row_subproblem(y_obs, c_obs, b_row, T, tau, 0.0, epsilon)
     return sub.smooth_gradient(np.asarray(w_aug, dtype=float))
@@ -220,20 +221,23 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
 
     ``grades = (cells, y)`` indexes the Q x N slacks X @ c_aug (see
     ``_observed_bernoulli``); ``c_aug`` is (K+1) x N with a trailing ones
-    row. ``counts=None, T=None`` drops the word-count term. A 1-D variable
-    is the problem of a single row.
+    row. An empty vocabulary (``counts`` with zero columns, a K x 0 ``T``)
+    drops the word-count term. A 1-D variable is the problem of a single row.
     """
     bern_value, bern_slope = _observed_bernoulli(*grades, tau)
+    # The count term over zero words is exactly 0, but the kernel calls on
+    # empty arrays still cost time in every evaluation, so skip them.
+    has_words = T.shape[1] > 0
 
     def value(X):
         bern = bern_value(X @ c_aug)
-        if counts is None:
+        if not has_words:
             return bern
         return bern + float(np.sum(poisson_nll(counts, X[..., :-1] @ T, epsilon)))
 
     def gradient(X):
         g = bern_slope(X @ c_aug) @ c_aug.T
-        if counts is not None:
+        if has_words:
             g[..., :-1] += poisson_slope(counts, X[..., :-1] @ T, epsilon) @ T.T
         return g
 

@@ -185,6 +185,7 @@ def test_criterion_4_monotone_descent(canon_fits):
     report(4, "monotone descent and convergence")
 
 
+@pytest.mark.slow
 def test_criterion_5_predictive_lift_from_text():
     start = time.perf_counter()
 
@@ -250,6 +251,7 @@ def test_criterion_6_recovery_up_to_permutation(canon_fits):
     report(6, f"recovery up to permutation (min {min(sims):.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_7_full_association(canon_fits):
     lam_grid = (0.05, 0.1, 0.2, 0.4)
     fully_covered = 0

@@ -153,6 +153,21 @@ def test_missing_file_exits_nonzero(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_malformed_archive_exits_with_one_error_line(sim_files, tmp_path, capsys):
+    archive = tmp_path / "m.json"
+    assert run("fit", "--responses", sim_files["responses"], "--corpus",
+               sim_files["corpus"], *HYPER, "--max-outer", 2, "--output", archive) == 0
+    doc = json.loads(archive.read_text())
+    doc["hyperparameters"]["tau"] = "two"
+    archive.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run("keywords", "--archive", archive, "--output", tmp_path / "k.csv")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_malformed_responses_exit_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("question_id,learner_id,grade\nq1,s1,7\n")

@@ -9,6 +9,7 @@ from conceptfit import (
     DataFormatError,
     FactorState,
     FitReport,
+    GradedResponseSet,
     HyperParams,
     ModelArchive,
     ValidationError,
@@ -26,10 +27,12 @@ from conceptfit.io import (
     read_entries_csv,
     read_grid_csv,
     write_corpus_jsonl,
+    write_keywords_csv,
+    write_predictions_csv,
     write_responses_csv,
     write_scores_csv,
 )
-from conceptfit.evaluation import CvScore
+from conceptfit.evaluation import ConceptSummary, CvScore
 from conceptfit.text import build_vocabulary, count_matrix, load_stop_words
 
 
@@ -233,6 +236,22 @@ class TestArchive:
         with pytest.raises(DataFormatError):
             load_archive(path)
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: doc["hyperparameters"].pop("gamma"), id="no-gamma"),
+        pytest.param(lambda doc: doc["fit_report"].pop("converged"), id="no-converged"),
+        pytest.param(lambda doc: doc["W"][1].pop(), id="ragged-W"),
+        pytest.param(lambda doc: doc["hyperparameters"].update(tau="two"), id="tau-string"),
+    ])
+    def test_malformed_archive_is_a_data_format_error(self, tmp_path, rng, edit):
+        path = tmp_path / "a.json"
+        save_archive(toy_archive(rng), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as err:
+            load_archive(path)
+        assert err.value.path == str(path)
+
     def test_unsupported_schema_rejected(self, tmp_path, rng):
         archive = toy_archive(rng)
         path = tmp_path / "a.json"
@@ -392,6 +411,26 @@ class TestAuxCsv:
         assert lines[0] == "lambda,gamma,eta,tau,mean_likelihood,converged"
         assert lines[1].endswith("0.75,true")
         assert lines[2].endswith(",false")
+
+    def test_writers_emit_exact_bytes(self, tmp_path):
+        Y = GradedResponseSet(2, 2, [(0, 1, 1), (1, 0, 0)])
+        write_responses_csv(Y, ["q1", "q2"], ["s1", "s2"], tmp_path / "r.csv")
+        p = HyperParams(0.1, 0.2, 0.3, 2.0, 2)
+        write_scores_csv([CvScore(p, 0.75, True), CvScore(p, None, False)],
+                         tmp_path / "s.csv")
+        write_keywords_csv([ConceptSummary(0, (("apple", 0.5), ("pear, ripe", 0.25)))],
+                           tmp_path / "k.csv")
+        write_predictions_csv([("q1", "s2", 0.125), ("q2", "s1", np.float64(1.0))],
+                              tmp_path / "p.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"question_id,learner_id,grade\nq1,s2,1\nq2,s1,0\n")
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b"lambda,gamma,eta,tau,mean_likelihood,converged\n"
+            b"0.1,0.2,0.3,2.0,0.75,true\n0.1,0.2,0.3,2.0,,false\n")
+        assert (tmp_path / "k.csv").read_bytes() == (
+            b'concept,rank,word,weight\n0,1,apple,0.5\n0,2,"pear, ripe",0.25\n')
+        assert (tmp_path / "p.csv").read_bytes() == (
+            b"question_id,learner_id,probability\nq1,s2,0.125\nq2,s1,1.0\n")
 
     def test_entries_csv(self, tmp_path):
         path = tmp_path / "e.csv"

@@ -3,15 +3,20 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from pytest import approx
 
 from conceptfit.model import (
+    FactorState,
+    GradedResponseSet,
+    HyperParams,
+    WordCountMatrix,
     bernoulli_nll,
     bernoulli_slope,
     inverse_logit,
+    objective,
     poisson_nll,
     poisson_slope,
 )
@@ -198,7 +203,8 @@ def test_block_values_match_the_summed_oracle(seed, Q, N, V, K, tau):
     X = np.hstack([W, mu[:, None]])
     sub = w_block_subproblem(observed, c_aug, counts, T, tau, lam, EPSILON)
     assert sub.smooth_value(X) == approx(bern + pois, rel=1e-12, abs=1e-12)
-    sub = w_block_subproblem(observed, c_aug, None, None, tau, lam, EPSILON)
+    sub = w_block_subproblem(observed, c_aug, np.zeros((Q, 0)), np.zeros((K, 0)),
+                             tau, lam, EPSILON)
     assert sub.smooth_value(X) == approx(bern, rel=1e-12, abs=1e-12)
 
     sub = c_block_subproblem(observed, W, mu, gamma, tau)
@@ -208,6 +214,22 @@ def test_block_values_match_the_summed_oracle(seed, Q, N, V, K, tau):
     sub = t_block_subproblem(counts, W, eta, EPSILON)
     ridge_t = 0.5 * eta * float(np.sum(T**2))
     assert sub.smooth_value(T) == approx(pois + ridge_t, rel=1e-12, abs=1e-12)
+
+
+@given(**block_cases)
+@settings(max_examples=40, deadline=None)
+def test_objective_over_zero_words_is_the_grades_only_objective(seed, Q, N, V, K, tau):
+    W, mu, C, _, mask, grades, _, _ = blocks_instance(seed, Q, N, V, K)
+    assume(mask.any())
+    lam, gamma, eta = 0.2, 0.4, 0.3
+    qi, lj = np.nonzero(mask)
+    responses = GradedResponseSet(Q, N, np.stack([qi, lj, grades[qi, lj]], axis=1))
+    no_words = WordCountMatrix(Q, (), np.zeros((Q, 0)))
+    state = FactorState(W, mu, C, np.zeros((K, 0)))
+    expected = (summed_bernoulli(mask, grades, W, mu, C, tau)
+                + lam * float(np.sum(np.abs(W))) + 0.5 * gamma * float(np.sum(C**2)))
+    got = objective(responses, no_words, state, HyperParams(lam, gamma, eta, tau, K))
+    assert got == approx(expected, rel=1e-12, abs=1e-12)
 
 
 @given(**block_cases)
