@@ -254,6 +254,18 @@ def save_archive(archive, path):
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _typed(value, kind, name, path):
+    """``value`` if it is a JSON ``kind`` (bool, or int but not bool); else DataFormatError.
+
+    Checked rather than converted: ``bool("false")`` is True and ``int(1.9)`` is 1.
+    """
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        what = "boolean" if kind is bool else "integer"
+        raise DataFormatError(
+            f"archive field {name!r} must be a JSON {what}, got {value!r}", path)
+    return value
+
+
 def load_archive(path):
     """Read an archive and re-validate every feasibility invariant."""
     path = Path(path)
@@ -287,13 +299,13 @@ def load_archive(path):
                 gamma=hyper["gamma"],
                 eta=hyper["eta"],
                 tau=hyper["tau"],
-                num_concepts=int(hyper["num_concepts"]),
+                num_concepts=_typed(hyper["num_concepts"], int, "num_concepts", path),
                 epsilon=hyper["epsilon"],
             )
         report = FitReport(
             tuple(fr["objective_trace"]),
-            bool(fr["converged"]),
-            int(fr["outer_iterations"]),
+            _typed(fr["converged"], bool, "converged", path),
+            _typed(fr["outer_iterations"], int, "outer_iterations", path),
             0.0,
         )
     except KeyError as exc:

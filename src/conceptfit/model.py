@@ -11,8 +11,11 @@ profiles T. The per-question difficulty mu rides along as an extra column
 of W during optimization but is neither penalized nor sign-constrained.
 
 Each channel's formulas are written once: ``bernoulli_nll``/``bernoulli_slope``
-and ``poisson_nll``/``poisson_slope`` give value and derivative, and the
-objective, held-out scoring and every subproblem in ``solvers`` call them.
+and ``poisson_nll``/``poisson_slope`` give value and derivative, and the fused
+kernels ``bernoulli_nll_and_slope`` and ``poisson_nll_and_slope`` give both
+from one pass over shared intermediates, bit-for-bit equal to the separate
+ones. The objective, held-out scoring and every subproblem in ``solvers``
+call them.
 
 All values here are immutable once constructed and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -33,8 +36,10 @@ __all__ = [
     "inverse_logit",
     "bernoulli_nll",
     "bernoulli_slope",
+    "bernoulli_nll_and_slope",
     "poisson_nll",
     "poisson_slope",
+    "poisson_nll_and_slope",
     "observed_slacks",
     "objective",
     "predict_response_prob",
@@ -241,6 +246,16 @@ class FitReport:
             raise ValidationError("wall_time must be >= 0")
 
 
+def _array_or_float(val):
+    return val if isinstance(val, np.ndarray) else float(val)
+
+
+def _logistic(x, e):
+    """Logistic of x from e = exp(-|x|): 1 / (1 + e) for x >= 0, else e / (1 + e)."""
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def inverse_logit(x):
     """Logistic map 1 / (1 + exp(-x)).
 
@@ -251,9 +266,22 @@ def inverse_logit(x):
     vectorised ``exp`` loop instead of gathering through boolean masks.
     """
     arr = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _logistic(arr, np.exp(-np.abs(arr)))
     return float(out) if out.ndim == 0 else out
+
+
+def _scaled_slack(z, tau):
+    """tau * z and e = exp(-|tau * z|), the intermediates of both Bernoulli kernels."""
+    tz = tau * np.asarray(z, dtype=float)
+    return tz, np.exp(-np.abs(tz))
+
+
+def _bernoulli_value(y, tz, e):
+    return np.maximum(-tz, 0.0) + np.log1p(e) + (1.0 - np.asarray(y, dtype=float)) * tz
+
+
+def _bernoulli_residual(y, tz, e, tau):
+    return tau * (_logistic(tz, e) - y)
 
 
 def bernoulli_nll(y, z, tau):
@@ -266,20 +294,37 @@ def bernoulli_nll(y, z, tau):
     """
     if not tau > 0:
         raise ValidationError("tau must be > 0")
-    tz = tau * np.asarray(z, dtype=float)
-    val = (np.maximum(-tz, 0.0) + np.log1p(np.exp(-np.abs(tz)))
-           + (1.0 - np.asarray(y, dtype=float)) * tz)
-    return val if isinstance(val, np.ndarray) else float(val)
+    return _array_or_float(_bernoulli_value(y, *_scaled_slack(z, tau)))
 
 
 def bernoulli_slope(y, z, tau):
     """Derivative of ``bernoulli_nll`` in z: the tau-scaled logistic residual."""
-    val = tau * (inverse_logit(tau * np.asarray(z, dtype=float)) - y)
-    return val if isinstance(val, np.ndarray) else float(val)
+    return _array_or_float(_bernoulli_residual(y, *_scaled_slack(z, tau), tau))
+
+
+def bernoulli_nll_and_slope(y, z, tau):
+    """``(bernoulli_nll(y, z, tau), bernoulli_slope(y, z, tau))`` from one pass.
+
+    tau*z and exp(-|tau*z|) are computed once and serve both, and the
+    results are bit-for-bit those of the two separate kernels.
+    """
+    if not tau > 0:
+        raise ValidationError("tau must be > 0")
+    tz, e = _scaled_slack(z, tau)
+    return (_array_or_float(_bernoulli_value(y, tz, e)),
+            _array_or_float(_bernoulli_residual(y, tz, e, tau)))
 
 
 def _floored_rate(a_raw, epsilon):
     return np.maximum(np.asarray(a_raw, dtype=float), epsilon)
+
+
+def _poisson_value(b, a):
+    return a - np.asarray(b, dtype=float) * np.log(a)
+
+
+def _poisson_rate_slope(b, a):
+    return 1.0 - b / a
 
 
 def poisson_nll(b, a_raw, epsilon=1e-6):
@@ -289,9 +334,7 @@ def poisson_nll(b, a_raw, epsilon=1e-6):
     rate never produces infinities. The dropped log(b!) term does not
     affect minimization; values are comparable only within this package.
     """
-    a = _floored_rate(a_raw, epsilon)
-    val = a - np.asarray(b, dtype=float) * np.log(a)
-    return val if isinstance(val, np.ndarray) else float(val)
+    return _array_or_float(_poisson_value(b, _floored_rate(a_raw, epsilon)))
 
 
 def poisson_slope(b, a_raw, epsilon=1e-6):
@@ -299,8 +342,17 @@ def poisson_slope(b, a_raw, epsilon=1e-6):
 
     The rate a is floored as in the value, so the slope is finite everywhere.
     """
-    val = 1.0 - b / _floored_rate(a_raw, epsilon)
-    return val if isinstance(val, np.ndarray) else float(val)
+    return _array_or_float(_poisson_rate_slope(b, _floored_rate(a_raw, epsilon)))
+
+
+def poisson_nll_and_slope(b, a_raw, epsilon=1e-6):
+    """``(poisson_nll(b, a_raw, epsilon), poisson_slope(b, a_raw, epsilon))``.
+
+    The floored rate is computed once and serves both, and the results are
+    bit-for-bit those of the two separate kernels.
+    """
+    a = _floored_rate(a_raw, epsilon)
+    return _array_or_float(_poisson_value(b, a)), _array_or_float(_poisson_rate_slope(b, a))
 
 
 def _check_dims(responses, word_counts, state, params):

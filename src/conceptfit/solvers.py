@@ -9,6 +9,12 @@ word column of T, which is what the outer loop solves. Their smooth parts
 are sums of the likelihood kernels in ``model``, the Bernoulli ones taken
 over the observed grades only.
 
+Each FISTA iteration makes one fused pass at its momentum point y: the
+builder's ``smooth_gradient(y)`` runs the fused kernels once and keeps the
+value, and ``smooth_value(y)`` right after returns it, because y is the
+same array and still holds the same bytes. Each candidate step then costs a
+value-only pass.
+
 The per-row ``grad_*`` and ``*_subproblem`` functions are one-row views of
 the same block builders: a 1-D [w_i | mu_i] row or knowledge column with
 all its slacks observed, and a 1-D word column of T.
@@ -24,7 +30,12 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import NonFiniteGradientError, ValidationError
-from .model import bernoulli_nll, bernoulli_slope, poisson_nll, poisson_slope
+from .model import (
+    bernoulli_nll,
+    bernoulli_nll_and_slope,
+    poisson_nll,
+    poisson_nll_and_slope,
+)
 
 __all__ = [
     "FistaConfig",
@@ -91,6 +102,12 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
 
     Returns the best iterate visited, so the reported objective never
     exceeds the composite objective at ``x0``.
+
+    Every iteration calls ``smooth_gradient(y)`` and then ``smooth_value(y)``
+    at the momentum point y, then ``smooth_value`` at each candidate. The
+    block builders below take the value at y from the gradient's own fused
+    pass, so with them an iteration costs one fused pass at y plus one
+    value-only pass per candidate.
     """
     config = config or FistaConfig()
     penalty = nonsmooth_value if nonsmooth_value is not None else (lambda _: 0.0)
@@ -103,7 +120,7 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     used = 0
     for k in range(1, config.max_iterations + 1):
         grad = np.asarray(smooth_gradient(y), dtype=float)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise NonFiniteGradientError(k)
         f_y = float(smooth_value(y))
         while True:
@@ -200,20 +217,53 @@ def t_column_subproblem(b_col, W, eta, epsilon=1e-6):
     return t_block_subproblem(np.asarray(b_col, dtype=float), W, eta, epsilon)
 
 
+def _one_pass_per_point(value_and_gradient, value):
+    """``(smooth_value, smooth_gradient)`` that evaluate a point's kernels once.
+
+    ``smooth_gradient(x)`` makes one fused pass and keeps its value with x
+    and a snapshot of x's shape, dtype and bytes. ``smooth_value(x)``
+    returns the kept value only when x is that array and still matches the
+    snapshot, as ``fista_minimize``'s momentum point does right after its
+    gradient; any other argument, an array changed in place since included,
+    is evaluated from scratch. The identity test spares the candidates the
+    snapshot, and the kept triple is replaced and read as one tuple, so
+    callers sharing a builder across threads never pair one point's value
+    with another point.
+    """
+    kept = (None, None, None)
+
+    def snapshot(x):
+        a = np.asarray(x)
+        return a.shape, a.dtype, a.tobytes()
+
+    def smooth_value(x):
+        point, key, f = kept
+        return f if x is point and key == snapshot(x) else value(x)
+
+    def smooth_gradient(x):
+        nonlocal kept
+        key = snapshot(x)
+        f, g = value_and_gradient(x)
+        kept = (x, key, f)
+        return g
+
+    return smooth_value, smooth_gradient
+
+
 def _observed_bernoulli(cells, y, tau):
-    """Bernoulli value and slope grid of a slack grid Z graded y at ``cells``.
+    """Bernoulli value, and fused value and slope grid, of slacks Z graded y.
 
     cells index Z row-major, in any order; unobserved cells get slope zero.
     """
 
     def value(Z):
-        return float(np.sum(bernoulli_nll(y, np.take(Z, cells), tau)))
+        return float(bernoulli_nll(y, Z.take(cells), tau).sum())
 
-    def slope(Z):
-        s = bernoulli_slope(y, np.take(Z, cells), tau)
-        return np.bincount(cells, s, Z.size).reshape(Z.shape)
+    def value_and_slope(Z):
+        nll, s = bernoulli_nll_and_slope(y, Z.take(cells), tau)
+        return float(nll.sum()), np.bincount(cells, s, Z.size).reshape(Z.shape)
 
-    return value, slope
+    return value, value_and_slope
 
 
 def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
@@ -224,7 +274,7 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
     row. An empty vocabulary (``counts`` with zero columns, a K x 0 ``T``)
     drops the word-count term. A 1-D variable is the problem of a single row.
     """
-    bern_value, bern_slope = _observed_bernoulli(*grades, tau)
+    bern_value, bern_value_and_slope = _observed_bernoulli(*grades, tau)
     # The count term over zero words is exactly 0, but the kernel calls on
     # empty arrays still cost time in every evaluation, so skip them.
     has_words = T.shape[1] > 0
@@ -233,50 +283,59 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
         bern = bern_value(X @ c_aug)
         if not has_words:
             return bern
-        return bern + float(np.sum(poisson_nll(counts, X[..., :-1] @ T, epsilon)))
+        return bern + float(poisson_nll(counts, X[..., :-1] @ T, epsilon).sum())
 
-    def gradient(X):
-        g = bern_slope(X @ c_aug) @ c_aug.T
-        if has_words:
-            g[..., :-1] += poisson_slope(counts, X[..., :-1] @ T, epsilon) @ T.T
-        return g
+    def value_and_gradient(X):
+        bern, S = bern_value_and_slope(X @ c_aug)
+        g = S @ c_aug.T
+        if not has_words:
+            return bern, g
+        nll, s = poisson_nll_and_slope(counts, X[..., :-1] @ T, epsilon)
+        g[..., :-1] += s @ T.T
+        return bern + float(nll.sum()), g
 
     def prox(point, step):
         return prox_w(point, step * lam)
 
     def penalty(X):
-        return lam * float(np.sum(np.abs(X[..., :-1])))
+        return lam * float(np.abs(X[..., :-1]).sum())
 
-    return Subproblem(value, gradient, prox, penalty)
+    return Subproblem(*_one_pass_per_point(value_and_gradient, value), prox, penalty)
 
 
 def c_block_subproblem(grades, W, mu, gamma, tau):
     """Stacked knowledge problem over every learner column of C, or one 1-D column."""
-    bern_value, bern_slope = _observed_bernoulli(*grades, tau)
+    bern_value, bern_value_and_slope = _observed_bernoulli(*grades, tau)
+
+    def slacks(C):
+        return ((W @ C).T + mu).T
 
     def value(C):
-        return bern_value(((W @ C).T + mu).T) + 0.5 * gamma * float(np.vdot(C, C))
+        return bern_value(slacks(C)) + 0.5 * gamma * float(np.vdot(C, C))
 
-    def gradient(C):
-        return W.T @ bern_slope(((W @ C).T + mu).T) + gamma * C
+    def value_and_gradient(C):
+        bern, S = bern_value_and_slope(slacks(C))
+        return bern + 0.5 * gamma * float(np.vdot(C, C)), W.T @ S + gamma * C
 
     def prox(point, step):
         return point
 
-    return Subproblem(value, gradient, prox)
+    return Subproblem(*_one_pass_per_point(value_and_gradient, value), prox)
 
 
 def t_block_subproblem(counts, W, eta, epsilon=1e-6):
     """Stacked word-profile problem covering every column of T."""
 
     def value(T):
-        pois = float(np.sum(poisson_nll(counts, W @ T, epsilon)))
+        pois = float(poisson_nll(counts, W @ T, epsilon).sum())
         return pois + 0.5 * eta * float(np.vdot(T, T))
 
-    def gradient(T):
-        return W.T @ poisson_slope(counts, W @ T, epsilon) + eta * T
+    def value_and_gradient(T):
+        nll, s = poisson_nll_and_slope(counts, W @ T, epsilon)
+        return (float(nll.sum()) + 0.5 * eta * float(np.vdot(T, T)),
+                W.T @ s + eta * T)
 
     def prox(point, step):
         return prox_nonneg(point)
 
-    return Subproblem(value, gradient, prox)
+    return Subproblem(*_one_pass_per_point(value_and_gradient, value), prox)

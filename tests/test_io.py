@@ -252,6 +252,30 @@ class TestArchive:
             load_archive(path)
         assert err.value.path == str(path)
 
+    @pytest.mark.parametrize("block, field, value", [
+        ("fit_report", "converged", "false"),
+        ("fit_report", "converged", 1),
+        ("fit_report", "outer_iterations", 1.9),
+        ("fit_report", "outer_iterations", 3.0),
+        ("fit_report", "outer_iterations", True),
+        ("fit_report", "outer_iterations", "3"),
+        ("hyperparameters", "num_concepts", 2.7),
+        ("hyperparameters", "num_concepts", True),
+        ("hyperparameters", "num_concepts", "2"),
+    ])
+    def test_archive_types_are_checked_not_coerced(self, tmp_path, rng, block, field,
+                                                   value):
+        # bool("false") is True and int(1.9) is 1: a loader that converts
+        # instead of checking would accept every one of these
+        path = tmp_path / "a.json"
+        save_archive(toy_archive(rng), path)
+        doc = json.loads(path.read_text())
+        doc[block][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=field) as err:
+            load_archive(path)
+        assert err.value.path == str(path)
+
     def test_unsupported_schema_rejected(self, tmp_path, rng):
         archive = toy_archive(rng)
         path = tmp_path / "a.json"

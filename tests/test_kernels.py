@@ -14,10 +14,12 @@ from conceptfit.model import (
     HyperParams,
     WordCountMatrix,
     bernoulli_nll,
+    bernoulli_nll_and_slope,
     bernoulli_slope,
     inverse_logit,
     objective,
     poisson_nll,
+    poisson_nll_and_slope,
     poisson_slope,
 )
 from conceptfit.solvers import (
@@ -99,6 +101,56 @@ def test_bernoulli_kernels_raise_no_floating_point_error(y, tz):
         inverse_logit(z)
         bernoulli_nll(y, z, 1.0)
         bernoulli_slope(y, z, 1.0)
+
+
+@given(z=st.lists(st.one_of(any_floats, edge_floats), min_size=1, max_size=30),
+       data=st.data(), tau=st.one_of(taus, st.sampled_from([1.0, 2.0, 1e3])))
+@settings(deadline=None)
+def test_fused_bernoulli_kernel_is_bitwise_the_separate_kernels(z, data, tau):
+    # tau * z passes 745 for |z| >= 745 / tau, where exp(-|tau * z|) is 0
+    y = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(z),
+                           max_size=len(z)))
+    y, z = np.array(y), np.array(z)
+    with np.errstate(all="ignore"):  # inf and NaN slacks make inf - inf
+        nll, slope = bernoulli_nll_and_slope(y, z, tau)
+        assert same_bits(nll, bernoulli_nll(y, z, tau))
+        assert same_bits(slope, bernoulli_slope(y, z, tau))
+        for yi, zi in zip(y[:3].tolist(), z[:3].tolist()):
+            nll, slope = bernoulli_nll_and_slope(yi, zi, tau)
+            assert isinstance(nll, float) and isinstance(slope, float)
+            assert same_bits(nll, bernoulli_nll(yi, zi, tau))
+            assert same_bits(slope, bernoulli_slope(yi, zi, tau))
+
+
+@given(a_raw=st.lists(st.one_of(any_floats, edge_floats,
+                                st.floats(-1.0, 2 * EPSILON)), min_size=1, max_size=30),
+       data=st.data())
+@settings(deadline=None)
+def test_fused_poisson_kernel_is_bitwise_the_separate_kernels(a_raw, data):
+    # rates at and below the floor are floored in both kernels alike
+    b = data.draw(st.lists(st.one_of(st.integers(0, 50).map(float), any_floats),
+                           min_size=len(a_raw), max_size=len(a_raw)))
+    b, a_raw = np.array(b), np.array(a_raw)
+    with np.errstate(all="ignore"):  # inf and NaN counts or rates make inf - inf
+        nll, slope = poisson_nll_and_slope(b, a_raw, EPSILON)
+        assert same_bits(nll, poisson_nll(b, a_raw, EPSILON))
+        assert same_bits(slope, poisson_slope(b, a_raw, EPSILON))
+        for bi, ai in zip(b[:3].tolist(), a_raw[:3].tolist()):
+            nll, slope = poisson_nll_and_slope(bi, ai, EPSILON)
+            assert isinstance(nll, float) and isinstance(slope, float)
+            assert same_bits(nll, poisson_nll(bi, ai, EPSILON))
+            assert same_bits(slope, poisson_slope(bi, ai, EPSILON))
+
+
+@given(y=st.sampled_from([0.0, 1.0]),
+       tz=st.one_of(st.floats(-1e300, 1e300), edge_floats.filter(math.isfinite)),
+       b=st.integers(0, 1000))
+@settings(deadline=None)
+def test_fused_kernels_raise_no_floating_point_error(y, tz, b):
+    z = np.array([tz, -tz])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        bernoulli_nll_and_slope(y, z, 1.0)
+        poisson_nll_and_slope(b, z, EPSILON)
 
 
 @given(data=st.data(), shape=shapes, tau=taus)

@@ -384,3 +384,124 @@ class TestStackedBlocks:
         for v in range(3):
             g = grad_t_column(counts[:, v].astype(float), W, T[:, v], eta)
             assert G[:, v] == approx(g, rel=1e-10, abs=1e-12)
+
+
+def block_builders(rng, Q=6, N=7, V=5, K=2):
+    """Each block's builder, as a function of nothing, and a point to evaluate.
+
+    The three stacked blocks come first, then the per-row views of each.
+    """
+    from conceptfit import GradedResponseSet
+
+    W, mu, C, T, entries, counts = random_instance(rng, Q, N, V, K)
+    Y = GradedResponseSet(Q, N, entries)
+    grades = (Y.cells, Y.grades.astype(float))
+    counts = counts.astype(float)
+    c_aug = np.vstack([C, np.ones((1, N))])
+    X = np.hstack([W, mu[:, None]])
+    tau, lam, gamma, eta = 1.4, 0.2, 0.4, 0.3
+    row = [(j, y) for qi, j, y in entries if qi == 0]
+    col = [(i, y) for i, lj, y in entries if lj == 0]
+    y_row = np.array([y for _, y in row], dtype=float)
+    y_col = np.array([y for _, y in col], dtype=float)
+    c_obs = c_aug[:, [j for j, _ in row]]
+    rows = [i for i, _ in col]
+    return [
+        ("W", lambda: w_block_subproblem(grades, c_aug, counts, T, tau, lam), X),
+        ("C", lambda: c_block_subproblem(grades, W, mu, gamma, tau), C),
+        ("T", lambda: t_block_subproblem(counts, W, eta), T),
+        ("w row", lambda: w_row_subproblem(y_row, c_obs, counts[0], T, tau, lam), X[0]),
+        ("c column", lambda: c_column_subproblem(y_col, W[rows], mu[rows], gamma, tau),
+         C[:, 0]),
+        ("t column", lambda: t_column_subproblem(counts[:, 0], W, eta), T[:, 0]),
+    ]
+
+
+def frozen_copy(x):
+    x = np.array(x, dtype=float)
+    x.setflags(write=False)
+    return x
+
+
+def same_bits(a, b):
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+class TestOnePassPerPoint:
+    """The block builders keep the value of the point whose gradient they took.
+
+    ``fista_minimize`` asks for the value at its momentum point right after
+    the gradient there; the builders answer from that one fused pass, and
+    must never answer with a value kept for other contents.
+    """
+
+    def test_value_after_gradient_is_bitwise_a_fresh_value(self, rng):
+        for name, build, x in block_builders(rng):
+            for point in (frozen_copy(x), np.array(x, dtype=float)):
+                fresh = build().smooth_value(np.array(point))
+                sub = build()
+                sub.smooth_gradient(point)
+                assert same_bits(sub.smooth_value(point), fresh), name
+                assert same_bits(sub.smooth_value(np.array(point)), fresh), name
+
+    def test_value_after_an_in_place_change_is_the_new_value(self, rng):
+        def check(name, build, point, change):
+            sub = build()
+            sub.smooth_gradient(point)
+            before = sub.smooth_value(point)
+            change()
+            fresh = build().smooth_value(np.array(point))
+            assert same_bits(sub.smooth_value(point), fresh), name
+            assert not same_bits(fresh, before), name
+
+        for name, build, x in block_builders(rng):
+            point = np.array(x, dtype=float)
+
+            def scale():
+                point[...] *= 1.5
+
+            check(name, build, point, scale)
+
+            # frozen, made writable, written and frozen again
+            point = frozen_copy(x)
+
+            def refreeze():
+                point.setflags(write=True)
+                point[...] *= 1.5
+                point.setflags(write=False)
+
+            check(name, build, point, refreeze)
+
+            # written through a writable view made before the freeze
+            base = np.array(x, dtype=float)
+            view = base.view()
+            base.setflags(write=False)
+            check(name, build, base, lambda: view.__imul__(1.5))
+
+            # a read-only view whose writable base is written
+            base = np.array(x, dtype=float)
+            view = base.view()
+            view.setflags(write=False)
+            check(name, build, view, lambda: base.__imul__(1.5))
+
+    def test_value_of_another_point_is_never_the_kept_one(self, rng):
+        for name, build, x in block_builders(rng):
+            point, other = frozen_copy(x), frozen_copy(np.asarray(x) * 1.5)
+            sub = build()
+            sub.smooth_gradient(point)
+            assert same_bits(sub.smooth_value(other), build().smooth_value(other)), name
+
+    def test_fista_result_is_bitwise_that_without_the_kept_value(self, rng):
+        cfg = FistaConfig(max_iterations=60, relative_tolerance=1e-12)
+        for name, build, x in block_builders(rng):
+            sub = build()
+            kept = fista_minimize(sub.smooth_gradient, sub.smooth_value, sub.prox, x,
+                                  cfg, sub.nonsmooth_value)
+            # values from a builder that never took a gradient keep nothing
+            grad_sub, value_sub = build(), build()
+            fresh = fista_minimize(grad_sub.smooth_gradient, value_sub.smooth_value,
+                                   sub.prox, x, cfg, sub.nonsmooth_value)
+            assert kept.solution.tobytes() == fresh.solution.tobytes(), name
+            assert kept.solution.shape == fresh.solution.shape, name
+            assert same_bits(kept.final_objective, fresh.final_objective), name
+            assert kept.iterations_used == fresh.iterations_used > 1, name
