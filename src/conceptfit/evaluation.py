@@ -13,7 +13,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import fit
-from .model import bernoulli_nll, inverse_logit, observed_slacks
+from .model import _check_finite_tau, bernoulli_nll, inverse_logit, observed_slacks
 
 __all__ = [
     "HoldoutSplit",
@@ -114,7 +114,9 @@ def mean_predicted_likelihood(state, test_entries, tau, log=False):
     Each entry (i, j, y) contributes p if y == 1 else 1 - p, with p the
     predicted correct-response probability. ``log=True`` switches to the
     mean log-likelihood, -bernoulli_nll, finite even where 1 - p underflows.
+    Both raise ValidationError for a tau that is not finite and > 0.
     """
+    _check_finite_tau(tau)
     entries = list(test_entries)
     if not entries:
         raise ValidationError("test set is empty")

@@ -513,6 +513,10 @@ def read_grid_csv(path):
         if header is None:
             raise DataFormatError("empty grid file", path, (1,))
         header = [h.strip() for h in header]
+        repeated = next((h for k, h in enumerate(header) if h in header[:k]), None)
+        if repeated is not None:
+            raise DataFormatError(f"grid header repeats the column {repeated!r}",
+                                  path, (1,))
         allowed = set(_GRID_COLUMNS) | {"epsilon"}
         if set(header) - allowed or not set(_GRID_COLUMNS) <= set(header):
             raise DataFormatError(

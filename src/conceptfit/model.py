@@ -10,17 +10,34 @@ weights W and ridge penalties on the knowledge profiles C and the word
 profiles T. The per-question difficulty mu rides along as an extra column
 of W during optimization but is neither penalized nor sign-constrained.
 
-Each channel's formulas are written once: ``bernoulli_nll``/``bernoulli_slope``
-and ``poisson_nll``/``poisson_slope`` give value and derivative, and the fused
-kernels ``bernoulli_nll_and_slope`` and ``poisson_nll_and_slope`` give both
-from one pass over shared intermediates, bit-for-bit equal to the separate
-ones. The objective, held-out scoring and every subproblem in ``solvers``
-call them.
+Each channel's formulas are written once, here: ``bernoulli_nll``/
+``bernoulli_slope`` and ``poisson_nll``/``poisson_slope`` give value and
+derivative, and the fused kernels ``bernoulli_nll_and_slope`` and
+``poisson_nll_and_slope`` give both from one pass over shared intermediates,
+bit-for-bit equal to the separate ones. They are built from the private
+helpers below, which every subproblem in ``solvers`` calls too; the
+objective and held-out scoring call the public kernels.
+
+The Bernoulli channel works on signed margins. With the signed precision
+m = tau * (2y - 1), formed once per grade set, the margin u = m * z is the
+log-odds of the observed grade, so the value is softplus(-u) = log1p(e) -
+min(u, 0) with e = exp(-|u|), and the slope in z is -m * sigmoid(-u). One
+formula serves both grades, exp never sees a positive argument, and no term
+cancels another, where softplus(-tau * z) + (1 - y) * tau * z cancels two
+terms near |tau * z| for y = 0 and tau * z < 0. A pass costs a dozen array
+calls where that grade-complement form costs eighteen.
+
+The Poisson channel's summed value over a grid is written
+``sum(a) - b . log(a)`` with a the floored rate, and its slope enters the
+solvers as the ratio r = b / a: the slope 1 - r multiplied into a factor is
+that factor's constant column sums minus its product with r, which spares
+the solvers the Q x V passes b * log(a), a - ... and 1 - ... per evaluation.
 
 All values here are immutable once constructed and safe to share across
 threads; every operation is a pure function of its inputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,81 +267,115 @@ def _array_or_float(val):
     return val if isinstance(val, np.ndarray) else float(val)
 
 
-def _logistic(x, e):
-    """Logistic of x from e = exp(-|x|): 1 / (1 + e) for x >= 0, else e / (1 + e)."""
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
 def inverse_logit(x):
     """Logistic map 1 / (1 + exp(-x)).
 
     With e = exp(-|x|) it is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
     so exp never sees a positive argument and cannot overflow; safe well past
-    |x| = 700. NaN in gives NaN out. Both branches are computed for the whole
-    array and picked with ``np.where``, which keeps every call on numpy's
-    vectorised ``exp`` loop instead of gathering through boolean masks.
+    |x| = 700. NaN in gives NaN out. For an array the numerator is picked
+    with ``np.where`` and divided once, which keeps every call on numpy's
+    vectorised loops instead of gathering through boolean masks; a scalar
+    is picked in Python, since ``np.where`` would make it a 0-d array whose
+    division costs a ufunc call.
     """
     arr = np.asarray(x, dtype=float)
-    out = _logistic(arr, np.exp(-np.abs(arr)))
-    return float(out) if out.ndim == 0 else out
+    e = np.exp(-np.abs(arr))
+    if arr.ndim == 0:
+        return float((1.0 if arr >= 0 else e) / (1.0 + e))
+    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
 
 
-def _scaled_slack(z, tau):
-    """tau * z and e = exp(-|tau * z|), the intermediates of both Bernoulli kernels."""
-    tz = tau * np.asarray(z, dtype=float)
-    return tz, np.exp(-np.abs(tz))
+def _check_tau(tau):
+    if not tau > 0:
+        raise ValidationError("tau must be > 0")
 
 
-def _bernoulli_value(y, tz, e):
-    return np.maximum(-tz, 0.0) + np.log1p(e) + (1.0 - np.asarray(y, dtype=float)) * tz
+def _check_finite_tau(tau):
+    """A prediction's precision: a negative tau flips it, zero or NaN gives 0.5."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValidationError(f"tau must be finite and > 0, got {tau!r}")
 
 
-def _bernoulli_residual(y, tz, e, tau):
-    return tau * (_logistic(tz, e) - y)
+def _signed_precision(y, tau):
+    """m = tau * (2y - 1): +tau for a correct grade, -tau for an incorrect one."""
+    y = np.asarray(y, dtype=float)
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValidationError("grades must be 0 or 1")
+    return tau * (2.0 * y - 1.0)
+
+
+def _bernoulli_margins(m, z):
+    """The margin u = m * z and e = exp(-|u|), shared by value and slope."""
+    u = m * z
+    return u, np.exp(-np.abs(u))
+
+
+def _bernoulli_terms(u, e):
+    """Per-cell negative log-likelihood softplus(-u) = log1p(e) - min(u, 0)."""
+    return np.log1p(e) - np.minimum(u, 0.0)
+
+
+def _bernoulli_slopes(m, u, e):
+    """Per-cell derivative in z, -m * sigmoid(-u); a weighted cell passes weight * m.
+
+    sigmoid(-u) is e / (1 + e) for u >= 0 and 1 / (1 + e) below; dividing
+    by -1 - e rather than negating m gives the same bits with one call less.
+    """
+    return m * np.where(u >= 0, e, 1.0) / (-1.0 - e)
 
 
 def bernoulli_nll(y, z, tau):
     """Negative log-likelihood of grade y given slack z at precision tau.
 
-    softplus(-tau*z) + (1 - y)*tau*z, with the softplus written as
-    max(-tau*z, 0) + log1p(exp(-|tau*z|)): exp never sees a positive
-    argument, and numpy runs ``exp`` and ``log1p`` on its vectorised loops,
-    where its ``logaddexp`` runs a scalar one.
+    softplus(-u) with the margin u = tau * (2y - 1) * z, written as
+    log1p(exp(-|u|)) - min(u, 0): exp never sees a positive argument, and
+    numpy runs ``exp`` and ``log1p`` on its vectorised loops, where its
+    ``logaddexp`` runs a scalar one. Raises ValidationError unless every
+    grade is 0 or 1.
     """
-    if not tau > 0:
-        raise ValidationError("tau must be > 0")
-    return _array_or_float(_bernoulli_value(y, *_scaled_slack(z, tau)))
+    _check_tau(tau)
+    u, e = _bernoulli_margins(_signed_precision(y, tau), np.asarray(z, dtype=float))
+    return _array_or_float(_bernoulli_terms(u, e))
 
 
 def bernoulli_slope(y, z, tau):
     """Derivative of ``bernoulli_nll`` in z: the tau-scaled logistic residual."""
-    return _array_or_float(_bernoulli_residual(y, *_scaled_slack(z, tau), tau))
+    m = _signed_precision(y, tau)
+    return _array_or_float(_bernoulli_slopes(m, *_bernoulli_margins(
+        m, np.asarray(z, dtype=float))))
 
 
 def bernoulli_nll_and_slope(y, z, tau):
     """``(bernoulli_nll(y, z, tau), bernoulli_slope(y, z, tau))`` from one pass.
 
-    tau*z and exp(-|tau*z|) are computed once and serve both, and the
+    The margin and exp(-|margin|) are computed once and serve both, and the
     results are bit-for-bit those of the two separate kernels.
     """
-    if not tau > 0:
-        raise ValidationError("tau must be > 0")
-    tz, e = _scaled_slack(z, tau)
-    return (_array_or_float(_bernoulli_value(y, tz, e)),
-            _array_or_float(_bernoulli_residual(y, tz, e, tau)))
+    _check_tau(tau)
+    m = _signed_precision(y, tau)
+    u, e = _bernoulli_margins(m, np.asarray(z, dtype=float))
+    return (_array_or_float(_bernoulli_terms(u, e)),
+            _array_or_float(_bernoulli_slopes(m, u, e)))
 
 
 def _floored_rate(a_raw, epsilon):
+    """Poisson rate a = max(a_raw, epsilon)."""
     return np.maximum(np.asarray(a_raw, dtype=float), epsilon)
 
 
-def _poisson_value(b, a):
+def _poisson_total(b, a):
+    """Summed Poisson value over the cells, sum(a) - b . log(a), at floored rates a."""
+    return float(a.sum() - np.vdot(b, np.log(a)))
+
+
+def _poisson_terms(b, a):
+    """Per-cell Poisson value a - b log(a) at floored rates a."""
     return a - np.asarray(b, dtype=float) * np.log(a)
 
 
-def _poisson_rate_slope(b, a):
-    return 1.0 - b / a
+def _poisson_ratio(b, a):
+    """r = b / a at floored rates a; the slope in the raw rate is 1 - r."""
+    return b / a
 
 
 def poisson_nll(b, a_raw, epsilon=1e-6):
@@ -334,7 +385,7 @@ def poisson_nll(b, a_raw, epsilon=1e-6):
     rate never produces infinities. The dropped log(b!) term does not
     affect minimization; values are comparable only within this package.
     """
-    return _array_or_float(_poisson_value(b, _floored_rate(a_raw, epsilon)))
+    return _array_or_float(_poisson_terms(b, _floored_rate(a_raw, epsilon)))
 
 
 def poisson_slope(b, a_raw, epsilon=1e-6):
@@ -342,7 +393,7 @@ def poisson_slope(b, a_raw, epsilon=1e-6):
 
     The rate a is floored as in the value, so the slope is finite everywhere.
     """
-    return _array_or_float(_poisson_rate_slope(b, _floored_rate(a_raw, epsilon)))
+    return _array_or_float(1.0 - _poisson_ratio(b, _floored_rate(a_raw, epsilon)))
 
 
 def poisson_nll_and_slope(b, a_raw, epsilon=1e-6):
@@ -352,7 +403,8 @@ def poisson_nll_and_slope(b, a_raw, epsilon=1e-6):
     bit-for-bit those of the two separate kernels.
     """
     a = _floored_rate(a_raw, epsilon)
-    return _array_or_float(_poisson_value(b, a)), _array_or_float(_poisson_rate_slope(b, a))
+    return (_array_or_float(_poisson_terms(b, a)),
+            _array_or_float(1.0 - _poisson_ratio(b, a)))
 
 
 def _check_dims(responses, word_counts, state, params):
@@ -413,7 +465,12 @@ def objective(responses, word_counts, state, params):
 
 
 def predict_response_prob(state, i, j, tau):
-    """Probability of a correct response by learner j on question i."""
+    """Probability of a correct response by learner j on question i.
+
+    Raises ValidationError for an index out of range or a tau that is not
+    finite and > 0.
+    """
+    _check_finite_tau(tau)
     if not 0 <= i < state.num_questions:
         raise ValidationError(
             f"question index {i} out of range [0, {state.num_questions})"

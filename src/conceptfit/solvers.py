@@ -6,14 +6,29 @@ over all elements). The ``*_block_subproblem`` builders package the smooth
 value/gradient, prox, and nonsmooth value of a whole block: every
 [w_i | mu_i] row of the associations, every learner column of C, or every
 word column of T, which is what the outer loop solves. Their smooth parts
-are sums of the likelihood kernels in ``model``, the Bernoulli ones taken
+are sums of the likelihood helpers in ``model``, the Bernoulli ones taken
 over the observed grades only.
 
 Each FISTA iteration makes one fused pass at its momentum point y: the
 builder's ``smooth_gradient(y)`` runs the fused kernels once and keeps the
 value, and ``smooth_value(y)`` right after returns it, because y is the
 same array and still holds the same bytes. Each candidate step then costs a
-value-only pass.
+value-only pass, and the start value of a solve is the first fused pass's.
+
+At the benchmark's sizes numpy's per-call overhead, not the arithmetic,
+sets the cost of a pass, so the builders keep the number of array calls
+down. Each builder forms what does not change during a solve once:
+
+- the signed precision tau * (2y - 1) of the observed grades, so that a
+  fused Bernoulli pass makes twelve calls on the observed cells (eight for
+  a value-only pass) where the grade-complement form made eighteen;
+- the Poisson column sums. The slope 1 - b / a summed against a factor is
+  that factor's column sums minus its product with the ratio r = b / a:
+  ``W.sum(0) - W.T @ r`` in the T block and ``T.sum(1) - r @ T.T`` in the
+  W block. With the value written ``sum(a) - b . log(a)``, a fused Poisson
+  pass makes five elementwise or reducing calls over the Q x V grid (floor,
+  sum, log, dot and ratio) besides its two products, where the per-cell
+  form made seven.
 
 The per-row ``grad_*`` and ``*_subproblem`` functions are one-row views of
 the same block builders: a 1-D [w_i | mu_i] row or knowledge column with
@@ -24,6 +39,7 @@ so it does not in general reach each row's minimizer: a row with a large
 gradient shrinks the step for the whole block.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -31,10 +47,14 @@ import numpy as np
 
 from .errors import NonFiniteGradientError, ValidationError
 from .model import (
-    bernoulli_nll,
-    bernoulli_nll_and_slope,
-    poisson_nll,
-    poisson_nll_and_slope,
+    _bernoulli_margins,
+    _bernoulli_slopes,
+    _bernoulli_terms,
+    _check_tau,
+    _floored_rate,
+    _poisson_ratio,
+    _poisson_total,
+    _signed_precision,
 )
 
 __all__ = [
@@ -105,9 +125,11 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
 
     Every iteration calls ``smooth_gradient(y)`` and then ``smooth_value(y)``
     at the momentum point y, then ``smooth_value`` at each candidate. The
-    block builders below take the value at y from the gradient's own fused
-    pass, so with them an iteration costs one fused pass at y plus one
-    value-only pass per candidate.
+    first momentum point is a copy of ``x0``, so its value is the start
+    value: no call precedes the first gradient. The block builders below
+    take the value at y from the gradient's own fused pass, so with them an
+    iteration costs one fused pass at y plus one value-only pass per
+    candidate, and a solve makes no pass besides.
     """
     config = config or FistaConfig()
     penalty = nonsmooth_value if nonsmooth_value is not None else (lambda _: 0.0)
@@ -115,14 +137,16 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     y = x.copy()
     t = 1.0
     step = 1.0
-    f_prev = float(smooth_value(x)) + float(penalty(x))
-    best_x, best_f = x.copy(), f_prev
+    best_f = None
     used = 0
     for k in range(1, config.max_iterations + 1):
         grad = np.asarray(smooth_gradient(y), dtype=float)
         if not np.isfinite(grad).all():
             raise NonFiniteGradientError(k)
         f_y = float(smooth_value(y))
+        if best_f is None:  # y is still x0
+            f_prev = best_f = f_y + float(penalty(y))
+            best_x = x
         while True:
             z = prox(y - step * grad, step)
             dz = z - y
@@ -136,13 +160,13 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
                 break
             step *= 0.5
         f_comp = f_z + float(penalty(z))
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = z + ((t - 1.0) / t_next) * (z - x)
         x, t = z, t_next
         used = k
         if f_comp < best_f:
             best_f = f_comp
-            best_x = z.copy()
+            best_x = z
         if abs(f_prev - f_comp) <= config.relative_tolerance * max(1.0, abs(f_prev)):
             break
         f_prev = f_comp
@@ -164,9 +188,10 @@ def prox_w(x, threshold):
     """
     if threshold < 0:
         raise ValidationError("threshold must be >= 0")
-    arr = np.asarray(x, dtype=float)
-    out = arr.copy()
-    out[..., :-1] = np.maximum(arr[..., :-1] - threshold, 0.0)
+    out = np.array(x, dtype=float)
+    weights = out[..., :-1]
+    np.subtract(weights, threshold, out=weights)
+    np.maximum(weights, 0.0, out=weights)
     return out
 
 
@@ -254,14 +279,29 @@ def _observed_bernoulli(cells, y, tau):
     """Bernoulli value, and fused value and slope grid, of slacks Z graded y.
 
     cells index Z row-major, in any order; unobserved cells get slope zero.
+    A soft grade y in (0, 1), which the per-row views accept, is scored as
+    the cross-entropy y * nll(1) + (1 - y) * nll(0): a correct grade of
+    weight y and an incorrect one of weight 1 - y on the same cell.
     """
+    _check_tau(tau)
+    cells, y = np.asarray(cells), np.asarray(y, dtype=float)
+    if not ((y >= 0.0) & (y <= 1.0)).all():
+        raise ValidationError("grades must lie in [0, 1]")
+    soft = np.flatnonzero((y > 0.0) & (y < 1.0))
+    cells = np.concatenate([cells, cells[soft]])
+    m = _signed_precision(np.concatenate([y > 0.0, np.zeros(soft.size)]), tau)
+    weight = np.concatenate([np.where(y > 0.0, y, 1.0), 1.0 - y[soft]])
+    slope_scale = weight * m
 
     def value(Z):
-        return float(bernoulli_nll(y, Z.take(cells), tau).sum())
+        terms = _bernoulli_terms(*_bernoulli_margins(m, Z.take(cells)))
+        return float(np.vdot(weight, terms))
 
     def value_and_slope(Z):
-        nll, s = bernoulli_nll_and_slope(y, Z.take(cells), tau)
-        return float(nll.sum()), np.bincount(cells, s, Z.size).reshape(Z.shape)
+        u, e = _bernoulli_margins(m, Z.take(cells))
+        s = _bernoulli_slopes(slope_scale, u, e)
+        return (float(np.vdot(weight, _bernoulli_terms(u, e))),
+                np.bincount(cells, s, Z.size).reshape(Z.shape))
 
     return value, value_and_slope
 
@@ -275,24 +315,29 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
     drops the word-count term. A 1-D variable is the problem of a single row.
     """
     bern_value, bern_value_and_slope = _observed_bernoulli(*grades, tau)
+    counts = np.asarray(counts, dtype=float)
     # The count term over zero words is exactly 0, but the kernel calls on
     # empty arrays still cost time in every evaluation, so skip them.
     has_words = T.shape[1] > 0
+    row_sums = T.sum(axis=1)  # the slope's constant part, ones @ T.T
+
+    def rates(X):
+        return _floored_rate(X[..., :-1] @ T, epsilon)
 
     def value(X):
         bern = bern_value(X @ c_aug)
         if not has_words:
             return bern
-        return bern + float(poisson_nll(counts, X[..., :-1] @ T, epsilon).sum())
+        return bern + _poisson_total(counts, rates(X))
 
     def value_and_gradient(X):
         bern, S = bern_value_and_slope(X @ c_aug)
         g = S @ c_aug.T
         if not has_words:
             return bern, g
-        nll, s = poisson_nll_and_slope(counts, X[..., :-1] @ T, epsilon)
-        g[..., :-1] += s @ T.T
-        return bern + float(nll.sum()), g
+        a = rates(X)
+        g[..., :-1] += row_sums - _poisson_ratio(counts, a) @ T.T
+        return bern + _poisson_total(counts, a), g
 
     def prox(point, step):
         return prox_w(point, step * lam)
@@ -324,16 +369,22 @@ def c_block_subproblem(grades, W, mu, gamma, tau):
 
 
 def t_block_subproblem(counts, W, eta, epsilon=1e-6):
-    """Stacked word-profile problem covering every column of T."""
+    """Stacked word-profile problem covering every column of T, or one 1-D column."""
+    counts = np.asarray(counts, dtype=float)
+    # the slope's constant part, W.T @ ones: one column of K sums, broadcast
+    # over the word columns of a block
+    col_sums = W.sum(axis=0)
+    if counts.ndim == 2:
+        col_sums = col_sums[:, None]
 
     def value(T):
-        pois = float(poisson_nll(counts, W @ T, epsilon).sum())
-        return pois + 0.5 * eta * float(np.vdot(T, T))
+        a = _floored_rate(W @ T, epsilon)
+        return _poisson_total(counts, a) + 0.5 * eta * float(np.vdot(T, T))
 
     def value_and_gradient(T):
-        nll, s = poisson_nll_and_slope(counts, W @ T, epsilon)
-        return (float(nll.sum()) + 0.5 * eta * float(np.vdot(T, T)),
-                W.T @ s + eta * T)
+        a = _floored_rate(W @ T, epsilon)
+        return (_poisson_total(counts, a) + 0.5 * eta * float(np.vdot(T, T)),
+                col_sums - W.T @ _poisson_ratio(counts, a) + eta * T)
 
     def prox(point, step):
         return prox_nonneg(point)

@@ -207,6 +207,32 @@ def test_evaluate_tau_override_required_for_truth_archive(sim_files, capsys):
     assert score > 0.5
 
 
+def test_tau_override_that_is_not_finite_and_positive_exits_with_one_error_line(
+        sim_files, tmp_path, capsys):
+    # -2 used to write flipped probabilities and 0 to score 0.5, with exit 0
+    model = tmp_path / "m.json"
+    assert run("fit", "--responses", sim_files["responses"], "--corpus",
+               sim_files["corpus"], *HYPER, "--max-outer", 2, "--output", model) == 0
+    entries = tmp_path / "e.csv"
+    entries.write_text("question_id,learner_id\nq0001,s0002\n")
+    out = tmp_path / "p.csv"
+    commands = [
+        ("predict", "--archive", model, "--entries", entries, "--output", out),
+        ("evaluate", "--archive", model, "--responses", sim_files["responses"]),
+        ("evaluate", "--archive", model, "--responses", sim_files["responses"], "--log"),
+    ]
+    for tau in ("-2", "0", "nan", "inf"):
+        for command in commands:
+            capsys.readouterr()
+            assert run(*command, "--tau", tau) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "tau" in captured.err
+            assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_weight_floor_help_names_mean_positive_weight():
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")

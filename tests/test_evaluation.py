@@ -19,6 +19,7 @@ from conceptfit import (
     fit,
     holdout_split,
     mean_predicted_likelihood,
+    predict_response_prob,
     simulate,
     top_keywords,
 )
@@ -129,6 +130,16 @@ class TestMeanPredictedLikelihood:
         base = mean_predicted_likelihood(truth, entries, 1.5)
         assert mean_predicted_likelihood(truth.permuted([2, 0, 1]), entries, 1.5) == \
             approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [-2.0, 0.0, -0.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_tau_that_is_not_finite_and_positive_rejected(self, tau, log):
+        # a negative tau flipped every probability, and 0 scored 0.5, silently
+        S = FactorState([[1.0]], [0.5], [[1.0, -1.0]], np.zeros((1, 1)))
+        with pytest.raises(ValidationError, match="tau"):
+            mean_predicted_likelihood(S, [(0, 0, 1), (0, 1, 0)], tau=tau, log=log)
+        with pytest.raises(ValidationError, match="tau"):
+            predict_response_prob(S, 0, 0, tau)
 
     def test_empty_test_set_rejected(self):
         S = FactorState(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))

@@ -420,6 +420,18 @@ class TestAuxCsv:
         with pytest.raises(DataFormatError):
             read_grid_csv(path)
 
+    @pytest.mark.parametrize("header", ["lambda,gamma,eta,tau,k,lambda",
+                                        "lambda,gamma,eta,tau,k,epsilon,epsilon",
+                                        "lambda,gamma,eta,tau, k ,k"])
+    def test_grid_csv_repeated_column_is_named_on_line_1(self, tmp_path, header):
+        path = tmp_path / "grid.csv"
+        values = ",".join(["0.3", "0.2", "0.2", "2.0", "2", "9", "9"][:header.count(",") + 1])
+        path.write_text(f"{header}\n{values}\n")
+        repeated = header.rsplit(",", 1)[1]
+        with pytest.raises(DataFormatError, match=f"'{repeated}'") as err:
+            read_grid_csv(path)
+        assert err.value.lines == (1,)
+
     def test_grid_csv_bad_value_line(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("lambda,gamma,eta,tau,k\n0.1,0.2,0.3,2.0,0\n")

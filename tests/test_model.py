@@ -20,6 +20,7 @@ from conceptfit import (
     poisson_nll,
     predict_response_prob,
 )
+from conceptfit.model import bernoulli_nll_and_slope, bernoulli_slope
 from oracles import naive_objective
 
 
@@ -75,6 +76,13 @@ class TestBernoulliNll:
         # naive log(1 + e^{tau z}) would overflow here
         val = bernoulli_nll(0, 500.0, 3.0)
         assert val == approx(1500.0, rel=1e-12)
+
+    @pytest.mark.parametrize("y", [0.5, -1.0, 2.0, math.nan])
+    def test_grades_other_than_0_and_1_rejected(self, y):
+        # the signed-margin form scores only 0 and 1; a soft grade is not one
+        for kernel in (bernoulli_nll, bernoulli_slope, bernoulli_nll_and_slope):
+            with pytest.raises(ValidationError, match="grades"):
+                kernel(np.array([1.0, y]), np.zeros(2), 1.0)
 
     def test_requires_positive_tau(self):
         with pytest.raises(ValidationError):

@@ -27,6 +27,7 @@ from conceptfit.solvers import (
 )
 from oracles import (
     central_difference,
+    naive_bernoulli_nll,
     naive_c_value,
     naive_t_value,
     naive_w_value,
@@ -275,6 +276,35 @@ class TestFistaMinimize:
             )
             assert res.final_objective <= start + 1e-12 * max(1.0, abs(start))
 
+    def test_start_value_comes_from_the_first_momentum_point(self, rng):
+        # one value call per momentum point, right after its gradient, and one
+        # per candidate; none before the first gradient
+        cfg = FistaConfig(max_iterations=40, relative_tolerance=1e-12)
+        for name, build, x in block_builders(rng):
+            sub, log = build(), []
+
+            def logged(kind, fn):
+                def call(point, *rest):
+                    log.append((kind, point))
+                    return fn(point, *rest)
+                return call
+
+            res = fista_minimize(logged("gradient", sub.smooth_gradient),
+                                 logged("value", sub.smooth_value),
+                                 logged("prox", sub.prox), x, cfg, sub.nonsmooth_value)
+            kinds = [kind for kind, _ in log]
+            assert kinds[0] == "gradient", name
+            assert kinds.count("gradient") == res.iterations_used > 1, name
+            assert kinds.count("value") == kinds.count("gradient") + kinds.count("prox")
+            for (kind, point), (after, at) in zip(log, log[1:]):
+                if kind == "gradient":
+                    assert after == "value" and at is point, name
+                if kind == "prox":
+                    assert after == "value", name
+            start = build().smooth_value(x) + (sub.nonsmooth_value(x)
+                                               if sub.nonsmooth_value else 0.0)
+            assert res.final_objective <= start, name
+
     def test_nonfinite_gradient_aborts_with_iteration(self):
         def bad_gradient(x):
             return np.full_like(x, np.nan)
@@ -384,6 +414,71 @@ class TestStackedBlocks:
         for v in range(3):
             g = grad_t_column(counts[:, v].astype(float), W, T[:, v], eta)
             assert G[:, v] == approx(g, rel=1e-10, abs=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), Q=st.integers(1, 4), N=st.integers(1, 5),
+       V=st.integers(0, 5), K=st.integers(1, 3), tau=st.floats(0.1, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_row_and_column_views_are_the_rows_and_columns_of_their_blocks(seed, Q, N, V,
+                                                                       K, tau):
+    # V = 0 is the grades-only fit; a zero row of W and a zero column of T put
+    # their cells on the rate floor, and those cells get counts
+    rng = np.random.default_rng(seed)
+    lam, gamma, eta = 0.2, 0.4, 0.3
+    W = rng.uniform(0.1, 1.1, (Q, K))
+    W[rng.integers(Q)] = 0.0
+    T = rng.uniform(0.1, 1.1, (K, V))
+    if V:
+        T[:, rng.integers(V)] = 0.0
+    mu, C = rng.standard_normal(Q), rng.standard_normal((K, N))
+    counts = rng.poisson(W @ T + 2.0 * (W @ T == 0.0)).astype(float)
+    mask = rng.random((Q, N)) < 0.6
+    grades = (rng.random((Q, N)) < 0.5).astype(float)
+    cells = np.flatnonzero(mask)
+    observed = (cells, grades.ravel()[cells])
+    c_aug = np.vstack([C, np.ones((1, N))])
+    X = np.hstack([W, mu[:, None]])
+
+    def close(got, want):
+        assert np.shape(got) == np.shape(want)
+        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * scale)
+
+    def check(block, point, views):
+        G, F = block.smooth_gradient(point), block.smooth_value(point)
+        total = 0.0
+        for index, view in views:
+            close(view.smooth_gradient(point[index]), G[index])
+            total += view.smooth_value(point[index])
+        close(total, F)
+
+    check(w_block_subproblem(observed, c_aug, counts, T, tau, lam), X, [
+        (i, w_row_subproblem(grades[i, mask[i]], c_aug[:, mask[i]], counts[i], T,
+                             tau, lam))
+        for i in range(Q)])
+    check(c_block_subproblem(observed, W, mu, gamma, tau), C, [
+        ((slice(None), j), c_column_subproblem(grades[mask[:, j], j], W[mask[:, j]],
+                                               mu[mask[:, j]], gamma, tau))
+        for j in range(N)])
+    check(t_block_subproblem(counts, W, eta), T, [
+        ((slice(None), v), t_column_subproblem(counts[:, v], W, eta))
+        for v in range(V)])
+
+
+def test_soft_grades_are_scored_as_the_cross_entropy(rng):
+    W_obs, mu_obs = rng.uniform(0.1, 1.0, (6, 3)), rng.standard_normal(6)
+    y = np.array([0.0, 1.0, 0.25, 0.5, 0.9, 1e-3])
+    c, tau, gamma = rng.standard_normal(3), 1.7, 0.4
+    z = W_obs @ c + mu_obs
+    expected = sum(yi * naive_bernoulli_nll(1, zi, tau)
+                   + (1.0 - yi) * naive_bernoulli_nll(0, zi, tau)
+                   for yi, zi in zip(y, z)) + 0.5 * gamma * float(c @ c)
+    sub = c_column_subproblem(y, W_obs, mu_obs, gamma, tau)
+    assert sub.smooth_value(c) == approx(expected, rel=1e-12)
+    fd = central_difference(sub.smooth_value, c)
+    assert sub.smooth_gradient(c) == approx(fd, rel=1e-6, abs=1e-8)
+    with pytest.raises(ValidationError):
+        c_column_subproblem(np.array([0.0, 1.5]), W_obs[:2], mu_obs[:2], gamma, tau)
 
 
 def block_builders(rng, Q=6, N=7, V=5, K=2):
