@@ -2,9 +2,11 @@
 
 One sweep updates, in order, every [w_i | mu_i] row, then every knowledge
 column of C, then every word column of T, each block through the FISTA
-subsolver warm-started at its current value. The full objective is recorded
-after each sweep; a sweep whose relative decrease falls below the outer
-tolerance ends the loop. Every block step ends at an objective no worse
+subsolver warm-started at its current value. The rows of a block are
+independent problems, and the subsolver gives each its own step, so one
+badly conditioned row does not hold back the rest. The full objective is
+recorded after each sweep; a sweep whose relative decrease falls below the
+outer tolerance ends the loop. Every block step ends at an objective no worse
 than where it started, so the recorded trace is nonincreasing up to float
 evaluation noise.
 """
@@ -113,26 +115,18 @@ def _descend(responses, word_counts, state, params, config):
     for _ in range(config.max_outer_iterations):
         last_state = state
 
-        w_aug = np.hstack([state.W, state.mu[:, None]])
         sub = w_block_subproblem(
             grades, np.vstack([state.C, ones]), counts, state.T,
             params.tau, params.lam, params.epsilon,
         )
-        w_aug = fista_minimize(
-            sub.smooth_gradient, sub.smooth_value, sub.prox, w_aug,
-            config.inner, sub.nonsmooth_value,
-        ).solution
+        w_aug = _solve(sub, np.hstack([state.W, state.mu[:, None]]), config.inner)
         W, mu = w_aug[:, :-1], w_aug[:, -1]
-
-        sub = c_block_subproblem(grades, W, mu, params.gamma, params.tau)
-        C = fista_minimize(
-            sub.smooth_gradient, sub.smooth_value, sub.prox, state.C, config.inner
-        ).solution
-
-        sub = t_block_subproblem(counts, W, params.eta, params.epsilon)
-        T = fista_minimize(
-            sub.smooth_gradient, sub.smooth_value, sub.prox, state.T, config.inner
-        ).solution
+        C = _solve(c_block_subproblem(grades, W, mu, params.gamma, params.tau),
+                   state.C, config.inner)
+        T = state.T
+        if T.size:  # an empty vocabulary leaves no T block to solve
+            T = _solve(t_block_subproblem(counts, W, params.eta, params.epsilon),
+                       T, config.inner)
 
         state = FactorState(W, mu, C, T)
         current = objective(responses, word_counts, state, params)
@@ -152,3 +146,10 @@ def _descend(responses, word_counts, state, params, config):
     report = FitReport(tuple(trace), converged, len(trace),
                        time.perf_counter() - start)
     return state, report
+
+
+def _solve(sub, x0, inner):
+    """Solve a block row by row: the engine gets the builder's per-row values."""
+    smooth_value, nonsmooth_value = sub.rows
+    return fista_minimize(sub.smooth_gradient, smooth_value, sub.prox, x0, inner,
+                          nonsmooth_value).solution

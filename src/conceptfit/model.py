@@ -27,11 +27,10 @@ cancels another, where softplus(-tau * z) + (1 - y) * tau * z cancels two
 terms near |tau * z| for y = 0 and tau * z < 0. A pass costs a dozen array
 calls where that grade-complement form costs eighteen.
 
-The Poisson channel's summed value over a grid is written
-``sum(a) - b . log(a)`` with a the floored rate, and its slope enters the
-solvers as the ratio r = b / a: the slope 1 - r multiplied into a factor is
-that factor's constant column sums minus its product with r, which spares
-the solvers the Q x V passes b * log(a), a - ... and 1 - ... per evaluation.
+The Poisson channel's slope enters the solvers as the ratio r = b / a, a
+the floored rate: the slope 1 - r multiplied into a factor is that factor's
+constant column sums minus its product with r, which spares the solvers
+the Q x V pass 1 - r per evaluation.
 
 All values here are immutable once constructed and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -238,8 +237,9 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("lam", "gamma", "eta", "tau", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
         if not (isinstance(self.num_concepts, int) and self.num_concepts >= 1):
             raise ValidationError("num_concepts must be an integer >= 1")
 
@@ -361,11 +361,6 @@ def bernoulli_nll_and_slope(y, z, tau):
 def _floored_rate(a_raw, epsilon):
     """Poisson rate a = max(a_raw, epsilon)."""
     return np.maximum(np.asarray(a_raw, dtype=float), epsilon)
-
-
-def _poisson_total(b, a):
-    """Summed Poisson value over the cells, sum(a) - b . log(a), at floored rates a."""
-    return float(a.sum() - np.vdot(b, np.log(a)))
 
 
 def _poisson_terms(b, a):

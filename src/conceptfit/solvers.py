@@ -1,42 +1,50 @@
 """FISTA engine plus the three block subproblem definitions.
 
 ``fista_minimize`` runs accelerated proximal gradient with a backtracking
-line search on a variable of any ndarray shape (inner products are taken
-over all elements). The ``*_block_subproblem`` builders package the smooth
-value/gradient, prox, and nonsmooth value of a whole block: every
-[w_i | mu_i] row of the associations, every learner column of C, or every
-word column of T, which is what the outer loop solves. Their smooth parts
-are sums of the likelihood helpers in ``model``, the Bernoulli ones taken
-over the observed grades only.
+line search on a variable of any ndarray shape. The ``*_block_subproblem``
+builders package the smooth value/gradient, prox, and nonsmooth value of a
+whole block: every [w_i | mu_i] row of the associations, every learner
+column of C, or every word column of T, which is what the outer loop
+solves. Their smooth parts are sums of the likelihood helpers in ``model``,
+the Bernoulli ones taken over the observed grades only.
+
+The rows of a block are independent problems (the per-row subproblems of
+SPARFA; Lan, Waters, Studer & Baraniuk, JMLR 2014), so the builders also
+give their values per row, in ``Subproblem.rows``, and the engine solves
+every row of a block with a step of its own. Each row halves its step
+until its own quadratic upper bound holds and keeps its own best iterate,
+while the momentum and the stopping test, on the summed objective, stay
+shared. A row with a huge gradient, such as one whose rate sits on the
+epsilon floor under a nonzero count, shrinks only its own step, and every
+other row still reaches its minimizer. The solve takes fewer iterations
+than one shared step would, which the worst-conditioned row sets.
 
 Each FISTA iteration makes one fused pass at its momentum point y: the
 builder's ``smooth_gradient(y)`` runs the fused kernels once and keeps the
-value, and ``smooth_value(y)`` right after returns it, because y is the
-same array and still holds the same bytes. Each candidate step then costs a
-value-only pass, and the start value of a solve is the first fused pass's.
+per-row values, and the value call at y right after returns them, because y
+is the same array and still holds the same bytes. Each candidate step then
+costs a value-only pass, and the start value of a solve is the first fused
+pass's.
 
 At the benchmark's sizes numpy's per-call overhead, not the arithmetic,
 sets the cost of a pass, so the builders keep the number of array calls
 down. Each builder forms what does not change during a solve once:
 
 - the signed precision tau * (2y - 1) of the observed grades, so that a
-  fused Bernoulli pass makes twelve calls on the observed cells (eight for
-  a value-only pass) where the grade-complement form made eighteen;
+  fused Bernoulli pass makes a dozen calls on the observed cells where the
+  grade-complement form made eighteen; the question or learner of each
+  cell, which sums the terms per row with ``np.bincount``, is formed on
+  first use;
 - the Poisson column sums. The slope 1 - b / a summed against a factor is
   that factor's column sums minus its product with the ratio r = b / a:
   ``W.sum(0) - W.T @ r`` in the T block and ``T.sum(1) - r @ T.T`` in the
-  W block. With the value written ``sum(a) - b . log(a)``, a fused Poisson
-  pass makes five elementwise or reducing calls over the Q x V grid (floor,
-  sum, log, dot and ratio) besides its two products, where the per-cell
-  form made seven.
+  W block;
+- the vectors whose products sum a grid per row: ones for the Poisson
+  terms, the l1 weights and the halved ridge weights.
 
 The per-row ``grad_*`` and ``*_subproblem`` functions are one-row views of
 the same block builders: a 1-D [w_i | mu_i] row or knowledge column with
 all its slacks observed, and a 1-D word column of T.
-The rows of a block are independent problems, but one FISTA run on the
-stacked variable shares a single step size and stopping test across them,
-so it does not in general reach each row's minimizer: a row with a large
-gradient shrinks the step for the whole block.
 """
 
 import math
@@ -53,7 +61,7 @@ from .model import (
     _check_tau,
     _floored_rate,
     _poisson_ratio,
-    _poisson_total,
+    _poisson_terms,
     _signed_precision,
 )
 
@@ -81,7 +89,7 @@ _STEP_FLOOR = 1e-18
 
 @dataclass(frozen=True)
 class FistaConfig:
-    """Inner-solver knobs. The step size only ever shrinks."""
+    """Inner-solver knobs. Each row's step starts at 1.0 in a solve and only shrinks."""
 
     max_iterations: int = 200
     relative_tolerance: float = 1e-7
@@ -101,27 +109,43 @@ class SubproblemResult:
 
 
 class Subproblem(NamedTuple):
-    """Pieces of one composite problem: min smooth(x) + nonsmooth(x)."""
+    """Pieces of one composite problem: min smooth(x) + nonsmooth(x).
+
+    ``smooth_value`` and ``nonsmooth_value`` return the problem's total.
+    ``rows``, from the block builders, is the pair of callables giving the
+    same two values per row (the nonsmooth one None for a smooth problem),
+    which ``fista_minimize`` takes to give every row its own step.
+    """
 
     smooth_value: Callable
     smooth_gradient: Callable
     prox: Callable
     nonsmooth_value: Optional[Callable] = None
+    rows: Optional[tuple] = None
 
 
 def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
                    nonsmooth_value=None):
-    """Accelerated proximal gradient with backtracking line search.
+    """Accelerated proximal gradient with a backtracking line search per row.
 
     ``prox(point, step)`` must be the exact proximal map of the nonsmooth
     term at the given step size (pass-through for a purely smooth problem).
-    Plain momentum without restart; the step is halved until the standard
-    quadratic upper bound holds and is carried over between iterations.
-    Stops when the relative change of the composite objective falls below
+
+    ``smooth_value`` and ``nonsmooth_value`` return either one number, which
+    makes the whole variable one row, or one value per row, an array shaped
+    to broadcast against x with a length-1 axis for each axis a row spans:
+    Q x 1 for the rows of [W | mu], 1 x N for the columns of C. The problem
+    must then be the sum of independent row problems. Each row has its own
+    step, an array of the values' shape that starts at 1.0 in every solve,
+    only ever shrinks, and reaches ``prox`` as the step. A row whose
+    candidate breaks the standard quadratic upper bound halves its step and
+    the whole candidate is evaluated again; a row at the step floor accepts
+    its candidate. The momentum is shared, and the solve stops when the
+    relative change of the summed composite objective falls below
     ``relative_tolerance`` or ``max_iterations`` is reached.
 
-    Returns the best iterate visited, so the reported objective never
-    exceeds the composite objective at ``x0``.
+    Returns each row's best iterate, so no row ends above its composite
+    objective at ``x0``, and ``final_objective`` is their sum.
 
     Every iteration calls ``smooth_gradient(y)`` and then ``smooth_value(y)``
     at the momentum point y, then ``smooth_value`` at each candidate. The
@@ -136,41 +160,51 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     x = np.array(x0, dtype=float)
     y = x.copy()
     t = 1.0
-    step = 1.0
-    best_f = None
     used = 0
     for k in range(1, config.max_iterations + 1):
         grad = np.asarray(smooth_gradient(y), dtype=float)
         if not np.isfinite(grad).all():
             raise NonFiniteGradientError(k)
-        f_y = float(smooth_value(y))
-        if best_f is None:  # y is still x0
-            f_prev = best_f = f_y + float(penalty(y))
-            best_x = x
+        f_y = smooth_value(y)
+        if k == 1:  # y is still x0
+            best_f = np.array(f_y + penalty(y), dtype=float)
+            best_x = x.copy()
+            f_prev = float(np.add.reduce(best_f, None))
+            # a row spans every axis along which its values have length 1
+            shape = (1,) * (x.ndim - best_f.ndim) + best_f.shape
+            axes = tuple(a for a, n in enumerate(shape) if n == 1)
+            step = np.ones(shape)
+            half_curvature = np.full(shape, 0.5)  # 1 / (2 step)
+        # one backtracking slack for the iteration, from the last objective
+        f_top = f_y + 1e-12 * max(1.0, abs(f_prev))
         while True:
             z = prox(y - step * grad, step)
             dz = z - y
-            f_z = float(smooth_value(z))
-            bound = (
-                f_y
-                + float(np.vdot(grad, dz))
-                + float(np.vdot(dz, dz)) / (2.0 * step)
-            )
-            if f_z <= bound + 1e-12 * max(1.0, abs(f_y)) or step <= _STEP_FLOOR:
+            f_z = smooth_value(z)
+            bound = f_top + np.add.reduce(dz * (grad + half_curvature * dz), axes,
+                                          keepdims=True)
+            shrink = f_z > bound
+            if not np.logical_or.reduce(shrink, None):
                 break
-            step *= 0.5
-        f_comp = f_z + float(penalty(z))
+            shrink &= step > _STEP_FLOOR
+            if not np.logical_or.reduce(shrink, None):
+                break
+            np.multiply(step, 0.5, out=step, where=shrink)
+            np.multiply(half_curvature, 2.0, out=half_curvature, where=shrink)
+        f_comp = f_z + penalty(z)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = z + ((t - 1.0) / t_next) * (z - x)
         x, t = z, t_next
         used = k
-        if f_comp < best_f:
-            best_f = f_comp
-            best_x = z
-        if abs(f_prev - f_comp) <= config.relative_tolerance * max(1.0, abs(f_prev)):
+        better = f_comp < best_f
+        np.copyto(best_f, f_comp, where=better)
+        np.copyto(best_x, z, where=better)
+        f_now = float(np.add.reduce(f_comp, None))
+        if abs(f_prev - f_now) <= config.relative_tolerance * max(1.0, abs(f_prev)):
             break
-        f_prev = f_comp
-    return SubproblemResult(solution=best_x, final_objective=best_f,
+        f_prev = f_now
+    return SubproblemResult(solution=best_x,
+                            final_objective=float(np.add.reduce(best_f, None)),
                             iterations_used=used)
 
 
@@ -184,10 +218,16 @@ def prox_w(x, threshold):
 
     Everything but the trailing (difficulty) slot is one-sided soft
     thresholded to max(0, v - threshold); the difficulty passes through
-    untouched. Works on one row or a stack of rows.
+    untouched. Works on one row or a stack of rows, with one threshold or a
+    column of them, one per row.
     """
-    if threshold < 0:
+    if np.less(threshold, 0.0).any():
         raise ValidationError("threshold must be >= 0")
+    return _prox_w(x, threshold)
+
+
+def _prox_w(x, threshold):
+    """``prox_w`` without the check, for the W block, whose thresholds are > 0."""
     out = np.array(x, dtype=float)
     weights = out[..., :-1]
     np.subtract(weights, threshold, out=weights)
@@ -243,11 +283,11 @@ def t_column_subproblem(b_col, W, eta, epsilon=1e-6):
 
 
 def _one_pass_per_point(value_and_gradient, value):
-    """``(smooth_value, smooth_gradient)`` that evaluate a point's kernels once.
+    """``(row_value, smooth_gradient)`` that evaluate a point's kernels once.
 
-    ``smooth_gradient(x)`` makes one fused pass and keeps its value with x
-    and a snapshot of x's shape, dtype and bytes. ``smooth_value(x)``
-    returns the kept value only when x is that array and still matches the
+    ``smooth_gradient(x)`` makes one fused pass and keeps its per-row values
+    with x and a snapshot of x's shape, dtype and bytes. ``row_value(x)``
+    returns the kept values only when x is that array and still matches the
     snapshot, as ``fista_minimize``'s momentum point does right after its
     gradient; any other argument, an array changed in place since included,
     is evaluated from scratch. The identity test spares the candidates the
@@ -261,7 +301,7 @@ def _one_pass_per_point(value_and_gradient, value):
         a = np.asarray(x)
         return a.shape, a.dtype, a.tobytes()
 
-    def smooth_value(x):
+    def row_value(x):
         point, key, f = kept
         return f if x is point and key == snapshot(x) else value(x)
 
@@ -272,16 +312,36 @@ def _one_pass_per_point(value_and_gradient, value):
         kept = (x, key, f)
         return g
 
-    return smooth_value, smooth_gradient
+    return row_value, smooth_gradient
 
 
-def _observed_bernoulli(cells, y, tau):
-    """Bernoulli value, and fused value and slope grid, of slacks Z graded y.
+def _subproblem(value_and_gradient, value, prox, penalty=None):
+    """The ``Subproblem`` of a builder whose values come per row.
+
+    ``value`` and ``penalty`` give one value per row of the variable, and
+    ``rows`` hands them to ``fista_minimize``; ``smooth_value`` and
+    ``nonsmooth_value`` sum them.
+    """
+    row_value, smooth_gradient = _one_pass_per_point(value_and_gradient, value)
+
+    def summed(per_row):
+        return lambda x: float(np.add.reduce(per_row(x), None))
+
+    return Subproblem(summed(row_value), smooth_gradient, prox,
+                      None if penalty is None else summed(penalty),
+                      (row_value, penalty))
+
+
+def _observed_bernoulli(cells, y, tau, axis):
+    """Per-row values, and fused values and slope grid, of slacks Z graded y.
 
     cells index Z row-major, in any order; unobserved cells get slope zero.
-    A soft grade y in (0, 1), which the per-row views accept, is scored as
-    the cross-entropy y * nll(1) + (1 - y) * nll(0): a correct grade of
-    weight y and an incorrect one of weight 1 - y on the same cell.
+    The values come per row of a 2-D Z (``axis=1``, Q x 1) or per column
+    (``axis=0``, 1 x N), each cell's row or column formed on first use; a
+    1-D Z is one row. A soft grade y in (0, 1), which the per-row views
+    accept, is scored as the cross-entropy y * nll(1) + (1 - y) * nll(0): a
+    correct grade of weight y and an incorrect one of weight 1 - y on the
+    same cell.
     """
     _check_tau(tau)
     cells, y = np.asarray(cells), np.asarray(y, dtype=float)
@@ -292,15 +352,29 @@ def _observed_bernoulli(cells, y, tau):
     m = _signed_precision(np.concatenate([y > 0.0, np.zeros(soft.size)]), tau)
     weight = np.concatenate([np.where(y > 0.0, y, 1.0), 1.0 - y[soft]])
     slope_scale = weight * m
+    groups = {}  # Z.shape -> (each cell's row or column, their number, values' shape)
+
+    def per_row(Z, terms):
+        if soft.size:
+            terms = weight * terms
+        if Z.ndim == 1:
+            return np.add.reduce(terms)
+        try:
+            group, n, shape = groups[Z.shape]
+        except KeyError:
+            rows, cols = Z.shape
+            group, n, shape = groups[Z.shape] = (
+                (cells // cols, rows, (rows, 1)) if axis == 1
+                else (cells % cols, cols, (1, cols)))
+        return np.bincount(group, terms, n).reshape(shape)
 
     def value(Z):
-        terms = _bernoulli_terms(*_bernoulli_margins(m, Z.take(cells)))
-        return float(np.vdot(weight, terms))
+        return per_row(Z, _bernoulli_terms(*_bernoulli_margins(m, Z.take(cells))))
 
     def value_and_slope(Z):
         u, e = _bernoulli_margins(m, Z.take(cells))
         s = _bernoulli_slopes(slope_scale, u, e)
-        return (float(np.vdot(weight, _bernoulli_terms(u, e))),
+        return (per_row(Z, _bernoulli_terms(u, e)),
                 np.bincount(cells, s, Z.size).reshape(Z.shape))
 
     return value, value_and_slope
@@ -312,14 +386,17 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
     ``grades = (cells, y)`` indexes the Q x N slacks X @ c_aug (see
     ``_observed_bernoulli``); ``c_aug`` is (K+1) x N with a trailing ones
     row. An empty vocabulary (``counts`` with zero columns, a K x 0 ``T``)
-    drops the word-count term. A 1-D variable is the problem of a single row.
+    drops the word-count term. A 1-D variable is the problem of a single
+    row. Values come per row, Q x 1: the grades by question, the counts'
+    row sums and the l1 term of each row.
     """
-    bern_value, bern_value_and_slope = _observed_bernoulli(*grades, tau)
+    bern_value, bern_value_and_slope = _observed_bernoulli(*grades, tau, axis=1)
     counts = np.asarray(counts, dtype=float)
     # The count term over zero words is exactly 0, but the kernel calls on
     # empty arrays still cost time in every evaluation, so skip them.
     has_words = T.shape[1] > 0
     row_sums = T.sum(axis=1)  # the slope's constant part, ones @ T.T
+    ones = np.ones((T.shape[1], 1))  # sums the count terms per row
 
     def rates(X):
         return _floored_rate(X[..., :-1] @ T, epsilon)
@@ -328,7 +405,7 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
         bern = bern_value(X @ c_aug)
         if not has_words:
             return bern
-        return bern + _poisson_total(counts, rates(X))
+        return bern + _poisson_terms(counts, rates(X)) @ ones
 
     def value_and_gradient(X):
         bern, S = bern_value_and_slope(X @ c_aug)
@@ -337,40 +414,55 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
             return bern, g
         a = rates(X)
         g[..., :-1] += row_sums - _poisson_ratio(counts, a) @ T.T
-        return bern + _poisson_total(counts, a), g
+        return bern + _poisson_terms(counts, a) @ ones, g
 
     def prox(point, step):
-        return prox_w(point, step * lam)
+        return _prox_w(point, step * lam)
+
+    # lam for each weight and 0 for the difficulty: |X| @ l1 is the l1 term per row
+    l1 = np.append(np.full(T.shape[0], lam), 0.0)[:, None]
 
     def penalty(X):
-        return lam * float(np.abs(X[..., :-1]).sum())
+        return np.abs(X) @ l1
 
-    return Subproblem(*_one_pass_per_point(value_and_gradient, value), prox, penalty)
+    return _subproblem(value_and_gradient, value, prox, penalty)
 
 
 def c_block_subproblem(grades, W, mu, gamma, tau):
-    """Stacked knowledge problem over every learner column of C, or one 1-D column."""
-    bern_value, bern_value_and_slope = _observed_bernoulli(*grades, tau)
+    """Stacked knowledge problem over every learner column of C, or one 1-D column.
+
+    Values come per column, 1 x N: the grades by learner plus the ridge.
+    """
+    bern_value, bern_value_and_slope = _observed_bernoulli(*grades, tau, axis=0)
+    half_gamma = np.full((1, W.shape[1]), 0.5 * gamma)
 
     def slacks(C):
         return ((W @ C).T + mu).T
 
+    def ridge(C):
+        return half_gamma @ (C * C)
+
     def value(C):
-        return bern_value(slacks(C)) + 0.5 * gamma * float(np.vdot(C, C))
+        return bern_value(slacks(C)) + ridge(C)
 
     def value_and_gradient(C):
         bern, S = bern_value_and_slope(slacks(C))
-        return bern + 0.5 * gamma * float(np.vdot(C, C)), W.T @ S + gamma * C
+        return bern + ridge(C), W.T @ S + gamma * C
 
     def prox(point, step):
         return point
 
-    return Subproblem(*_one_pass_per_point(value_and_gradient, value), prox)
+    return _subproblem(value_and_gradient, value, prox)
 
 
 def t_block_subproblem(counts, W, eta, epsilon=1e-6):
-    """Stacked word-profile problem covering every column of T, or one 1-D column."""
+    """Stacked word-profile problem covering every column of T, or one 1-D column.
+
+    Values come per column, 1 x V: the Poisson value plus the ridge.
+    """
     counts = np.asarray(counts, dtype=float)
+    half_eta = np.full((1, W.shape[1]), 0.5 * eta)
+    ones = np.ones((1, W.shape[0]))  # sums the count terms per column
     # the slope's constant part, W.T @ ones: one column of K sums, broadcast
     # over the word columns of a block
     col_sums = W.sum(axis=0)
@@ -379,14 +471,14 @@ def t_block_subproblem(counts, W, eta, epsilon=1e-6):
 
     def value(T):
         a = _floored_rate(W @ T, epsilon)
-        return _poisson_total(counts, a) + 0.5 * eta * float(np.vdot(T, T))
+        return ones @ _poisson_terms(counts, a) + half_eta @ (T * T)
 
     def value_and_gradient(T):
         a = _floored_rate(W @ T, epsilon)
-        return (_poisson_total(counts, a) + 0.5 * eta * float(np.vdot(T, T)),
+        return (ones @ _poisson_terms(counts, a) + half_eta @ (T * T),
                 col_sums - W.T @ _poisson_ratio(counts, a) + eta * T)
 
     def prox(point, step):
         return prox_nonneg(point)
 
-    return Subproblem(*_one_pass_per_point(value_and_gradient, value), prox)
+    return _subproblem(value_and_gradient, value, prox)

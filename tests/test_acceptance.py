@@ -186,6 +186,19 @@ def test_criterion_4_monotone_descent(canon_fits):
 
 
 @pytest.mark.slow
+def test_starts_reach_the_same_objective(canon_fits):
+    # each block's rows are solved with steps of their own, so no row on the
+    # rate floor stalls a fit, and the random start does not pick the answer
+    for seed, (Y, B, _, _, rep) in zip(SEEDS, canon_fits):
+        finals = [rep.objective_trace[-1]]
+        for start in (1, 2):
+            _, other = cf.fit(Y, B, FIT_PARAMS, cf.FitConfig(rng_seed=start))
+            finals.append(other.objective_trace[-1])
+        spread = (max(finals) - min(finals)) / min(finals)
+        assert spread <= 1e-3, f"seed {seed}: starts 0-2 end at {finals}"
+
+
+@pytest.mark.slow
 def test_criterion_5_predictive_lift_from_text():
     start = time.perf_counter()
 

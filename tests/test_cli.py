@@ -233,6 +233,22 @@ def test_tau_override_that_is_not_finite_and_positive_exits_with_one_error_line(
     assert not out.exists()
 
 
+def test_fit_with_a_non_finite_hyperparameter_names_it(sim_files, tmp_path, capsys):
+    # --tau inf used to fail only at the first objective, "objective non-finite
+    # at initialization", without naming the option
+    out = tmp_path / "m.json"
+    for flag in ("--lambda", "--gamma", "--eta", "--tau", "--epsilon"):
+        capsys.readouterr()
+        args = [*HYPER, flag, "inf"]
+        assert run("fit", "--responses", sim_files["responses"], "--corpus",
+                   sim_files["corpus"], *args, "--output", out) == 1
+        err = capsys.readouterr().err
+        name = {"--lambda": "lam"}.get(flag, flag[2:])
+        assert err.startswith(f"error: {name} must be finite and > 0"), err
+        assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_weight_floor_help_names_mean_positive_weight():
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")

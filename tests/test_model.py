@@ -274,6 +274,15 @@ class TestDomainTypes:
         with pytest.raises(ValidationError):
             HyperParams(lam=1.0, gamma=1.0, eta=1.0, tau=1.0, num_concepts=0)
 
+    @pytest.mark.parametrize("name", ["lam", "gamma", "eta", "tau", "epsilon"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_hyperparams_reject_non_finite_values_by_name(self, name, value):
+        fields = dict(lam=0.3, gamma=0.3, eta=0.3, tau=2.0, num_concepts=2,
+                      epsilon=1e-6)
+        fields[name] = value
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            HyperParams(**fields)
+
     def test_fit_report_trace_length(self):
         with pytest.raises(ValidationError):
             FitReport((1.0, 2.0), True, 3, 0.0)

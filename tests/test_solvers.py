@@ -379,6 +379,46 @@ class TestStackedBlocks:
             total_rows += row_res.final_objective
         assert total_block == approx(total_rows, rel=1e-6)
 
+    def test_a_row_on_the_rate_floor_holds_back_no_other_row(self, rng):
+        # row 0 of W is zero, so its rates sit on the epsilon floor, and it has
+        # a nonzero count: its gradient is about 1e6 and one shared step would
+        # shrink to the step floor for every row
+        W, mu, C, T, entries, counts = random_instance(rng, 5, 8, 6, 2)
+        from conceptfit import GradedResponseSet
+
+        W[0] = 0.0
+        counts = counts.astype(float)
+        counts[0, 0] = 3.0
+        Y = GradedResponseSet(5, 8, entries)
+        c_aug = np.vstack([C, np.ones((1, 8))])
+        x0 = np.hstack([W, mu[:, None]])
+        cfg = FistaConfig(max_iterations=3000, relative_tolerance=1e-13)
+        tau, lam = 1.5, 0.2
+        block = w_block_subproblem((Y.cells, Y.grades.astype(float)), c_aug, counts,
+                                   T, tau, lam)
+        smooth_rows, penalty_rows = block.rows
+        per_row = fista_minimize(block.smooth_gradient, smooth_rows, block.prox, x0,
+                                 cfg, penalty_rows).solution
+        shared = fista_minimize(block.smooth_gradient, block.smooth_value, block.prox,
+                                x0, cfg, block.nonsmooth_value).solution
+
+        for i in range(5):
+            keep = [(j, y) for qi, j, y in entries if qi == i]
+            y_obs = np.array([y for _, y in keep], dtype=float)
+            c_obs = np.vstack([C[:, [j for j, _ in keep]], np.ones((1, len(keep)))])
+            sub = w_row_subproblem(y_obs, c_obs, counts[i], T, tau, lam)
+
+            def composite(x):
+                return sub.smooth_value(x) + sub.nonsmooth_value(x)
+
+            assert composite(per_row[i]) <= composite(x0[i])
+            if i == 0:
+                continue
+            best = fista_minimize(sub.smooth_gradient, sub.smooth_value, sub.prox,
+                                  x0[i], cfg, sub.nonsmooth_value).final_objective
+            assert composite(per_row[i]) == approx(best, rel=1e-9)
+            assert composite(shared[i]) > best * (1.0 + 1e-3)
+
     def test_block_gradients_match_row_gradients(self, rng):
         W, mu, C, T, entries, counts = random_instance(rng, 4, 5, 3, 2)
         from conceptfit import GradedResponseSet
