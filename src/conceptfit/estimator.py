@@ -4,7 +4,9 @@ One sweep updates, in order, every [w_i | mu_i] row, then every knowledge
 column of C, then every word column of T, each block through the FISTA
 subsolver warm-started at its current value. The rows of a block are
 independent problems, and the subsolver gives each its own step, so one
-badly conditioned row does not hold back the rest. The full objective is
+badly conditioned row does not hold back the rest. Each block's solve
+starts from the steps its rows accepted first in the block's previous solve
+of the same fit; the first sweep starts them at 1.0. The full objective is
 recorded after each sweep; a sweep whose relative decrease falls below the
 outer tolerance ends the loop. Every block step ends at an objective no worse
 than where it started, so the recorded trace is nonincreasing up to float
@@ -112,6 +114,17 @@ def _descend(responses, word_counts, state, params, config):
         )
     trace = []
     converged = False
+    steps = {}  # block -> each row's first accepted step in its last solve
+
+    def solve(block, sub, x0):
+        """Solve a block row by row, from the steps its last solve carried."""
+        smooth_value, nonsmooth_value = sub.rows
+        result = fista_minimize(sub.smooth_gradient, smooth_value, sub.prox, x0,
+                                config.inner, nonsmooth_value,
+                                initial_step=steps.get(block))
+        steps[block] = result.first_step
+        return result.solution
+
     for _ in range(config.max_outer_iterations):
         last_state = state
 
@@ -119,14 +132,13 @@ def _descend(responses, word_counts, state, params, config):
             grades, np.vstack([state.C, ones]), counts, state.T,
             params.tau, params.lam, params.epsilon,
         )
-        w_aug = _solve(sub, np.hstack([state.W, state.mu[:, None]]), config.inner)
+        w_aug = solve("W", sub, np.hstack([state.W, state.mu[:, None]]))
         W, mu = w_aug[:, :-1], w_aug[:, -1]
-        C = _solve(c_block_subproblem(grades, W, mu, params.gamma, params.tau),
-                   state.C, config.inner)
+        C = solve("C", c_block_subproblem(grades, W, mu, params.gamma, params.tau),
+                  state.C)
         T = state.T
         if T.size:  # an empty vocabulary leaves no T block to solve
-            T = _solve(t_block_subproblem(counts, W, params.eta, params.epsilon),
-                       T, config.inner)
+            T = solve("T", t_block_subproblem(counts, W, params.eta, params.epsilon), T)
 
         state = FactorState(W, mu, C, T)
         current = objective(responses, word_counts, state, params)
@@ -147,9 +159,3 @@ def _descend(responses, word_counts, state, params, config):
                        time.perf_counter() - start)
     return state, report
 
-
-def _solve(sub, x0, inner):
-    """Solve a block row by row: the engine gets the builder's per-row values."""
-    smooth_value, nonsmooth_value = sub.rows
-    return fista_minimize(sub.smooth_gradient, smooth_value, sub.prox, x0, inner,
-                          nonsmooth_value).solution

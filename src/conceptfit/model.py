@@ -32,6 +32,15 @@ the floored rate: the slope 1 - r multiplied into a factor is that factor's
 constant column sums minus its product with r, which spares the solvers
 the Q x V pass 1 - r per evaluation.
 
+``objective`` and the public Poisson kernels floor every cell's rate at
+epsilon. The solvers' values floor only the cells with a zero count there
+and score a cell with a nonzero count at its raw rate, floored at the
+smallest normal float (``_scored_floors``), so that a rate driven to 0
+under a count is costly rather than flat. The two agree wherever every
+counted rate is at least epsilon, and for an epsilon of at most 1 the
+solvers' value is never below the objective's. Their slopes keep the
+epsilon floor.
+
 All values here are immutable once constructed and safe to share across
 threads; every operation is a pure function of its inputs.
 """
@@ -359,8 +368,19 @@ def bernoulli_nll_and_slope(y, z, tau):
 
 
 def _floored_rate(a_raw, epsilon):
-    """Poisson rate a = max(a_raw, epsilon)."""
+    """Poisson rate a = max(a_raw, epsilon); epsilon may be a grid of floors."""
     return np.maximum(np.asarray(a_raw, dtype=float), epsilon)
+
+
+def _scored_floors(b, epsilon):
+    """The rate floor of each cell in the solvers' values.
+
+    The smallest normal float under a nonzero count, so a counted cell is
+    scored at its raw rate and pays about 708 b at rate 0; epsilon where
+    the count is zero. The floor stays finite: an infinite value would make
+    inf - inf of the values' differences.
+    """
+    return np.where(np.asarray(b) > 0, np.finfo(float).tiny, epsilon)
 
 
 def _poisson_terms(b, a):

@@ -19,6 +19,23 @@ epsilon floor under a nonzero count, shrinks only its own step, and every
 other row still reaches its minimizer. The solve takes fewer iterations
 than one shared step would, which the worst-conditioned row sets.
 
+A block is solved once per outer sweep, and its rows' curvature changes
+little from one sweep to the next. So a solve reports the step each row
+accepted in its first iteration, and the next solve of that block may start
+each row at four times that step, capped at 1.0, rather than at 1.0. A
+row whose step still passes then tries at most three candidates in its
+first iteration instead of halving down from 1.0 again, and a row whose
+carried step is at the step floor starts again at 1.0.
+
+The Poisson values score a cell with a nonzero count at its raw rate,
+floored only at the smallest normal float, and a cell with a zero count at
+the epsilon-floored rate, as the objective does. A step that drives a
+counted word's rate toward 0 then pays about 708 per count and fails its
+row's bound, where under the epsilon floor the value below epsilon would be
+flat and such a step would pass, leaving a row whose slope, 1 - b / epsilon,
+no later step could follow. The slopes keep the epsilon floor, so every
+gradient stays finite.
+
 Each FISTA iteration makes one fused pass at its momentum point y: the
 builder's ``smooth_gradient(y)`` runs the fused kernels once and keeps the
 per-row values, and the value call at y right after returns them, because y
@@ -62,6 +79,7 @@ from .model import (
     _floored_rate,
     _poisson_ratio,
     _poisson_terms,
+    _scored_floors,
     _signed_precision,
 )
 
@@ -89,7 +107,11 @@ _STEP_FLOOR = 1e-18
 
 @dataclass(frozen=True)
 class FistaConfig:
-    """Inner-solver knobs. Each row's step starts at 1.0 in a solve and only shrinks."""
+    """Inner-solver knobs.
+
+    Each row's step starts at 1.0, or near the step carried from the last
+    solve of its block (see ``fista_minimize``), and only shrinks in a solve.
+    """
 
     max_iterations: int = 200
     relative_tolerance: float = 1e-7
@@ -103,9 +125,17 @@ class FistaConfig:
 
 @dataclass(frozen=True)
 class SubproblemResult:
+    """A solve's best iterate and its objective.
+
+    ``first_step`` is each row's step as accepted in the first iteration,
+    shaped like the per-row values; passed back as ``initial_step``, it
+    starts the next solve of the same block near the step that passed.
+    """
+
     solution: np.ndarray
     final_objective: float
     iterations_used: int
+    first_step: Optional[np.ndarray] = None
 
 
 class Subproblem(NamedTuple):
@@ -125,7 +155,7 @@ class Subproblem(NamedTuple):
 
 
 def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
-                   nonsmooth_value=None):
+                   nonsmooth_value=None, initial_step=None):
     """Accelerated proximal gradient with a backtracking line search per row.
 
     ``prox(point, step)`` must be the exact proximal map of the nonsmooth
@@ -136,8 +166,11 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     to broadcast against x with a length-1 axis for each axis a row spans:
     Q x 1 for the rows of [W | mu], 1 x N for the columns of C. The problem
     must then be the sum of independent row problems. Each row has its own
-    step, an array of the values' shape that starts at 1.0 in every solve,
-    only ever shrinks, and reaches ``prox`` as the step. A row whose
+    step, an array of the values' shape that only ever shrinks in a solve
+    and reaches ``prox`` as the step. It starts at 1.0, or, given
+    ``initial_step`` (one carried step per row, such as an earlier solve's
+    ``first_step``), at min(1, 4 x the carried step), and at 1.0 for a row
+    whose carried step is at or below the step floor. A row whose
     candidate breaks the standard quadratic upper bound halves its step and
     the whole candidate is evaluated again; a row at the step floor accepts
     its candidate. The momentum is shared, and the solve stops when the
@@ -145,7 +178,8 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     ``relative_tolerance`` or ``max_iterations`` is reached.
 
     Returns each row's best iterate, so no row ends above its composite
-    objective at ``x0``, and ``final_objective`` is their sum.
+    objective at ``x0``, ``final_objective``, their sum, and ``first_step``,
+    each row's step as the first iteration accepted it.
 
     Every iteration calls ``smooth_gradient(y)`` and then ``smooth_value(y)``
     at the momentum point y, then ``smooth_value`` at each candidate. The
@@ -173,8 +207,8 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
             # a row spans every axis along which its values have length 1
             shape = (1,) * (x.ndim - best_f.ndim) + best_f.shape
             axes = tuple(a for a, n in enumerate(shape) if n == 1)
-            step = np.ones(shape)
-            half_curvature = np.full(shape, 0.5)  # 1 / (2 step)
+            step = _start_step(shape, initial_step)
+            half_curvature = 0.5 / step  # 1 / (2 step)
         # one backtracking slack for the iteration, from the last objective
         f_top = f_y + 1e-12 * max(1.0, abs(f_prev))
         while True:
@@ -191,6 +225,8 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
                 break
             np.multiply(step, 0.5, out=step, where=shrink)
             np.multiply(half_curvature, 2.0, out=half_curvature, where=shrink)
+        if k == 1:
+            first_step = step.copy()
         f_comp = f_z + penalty(z)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = z + ((t - 1.0) / t_next) * (z - x)
@@ -205,7 +241,19 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
         f_prev = f_now
     return SubproblemResult(solution=best_x,
                             final_objective=float(np.add.reduce(best_f, None)),
-                            iterations_used=used)
+                            iterations_used=used, first_step=first_step)
+
+
+def _start_step(shape, carried):
+    """Each row's first step: min(1, 4 x its carried step), or 1.0 without one.
+
+    A carried step at or below the step floor starts again at 1.0, so no row
+    stays frozen at the floor from one solve to the next.
+    """
+    if carried is None:
+        return np.ones(shape)
+    carried = np.broadcast_to(np.asarray(carried, dtype=float), shape)
+    return np.where(carried > _STEP_FLOOR, np.minimum(1.0, 4.0 * carried), 1.0)
 
 
 def prox_nonneg(x):
@@ -397,24 +445,26 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
     has_words = T.shape[1] > 0
     row_sums = T.sum(axis=1)  # the slope's constant part, ones @ T.T
     ones = np.ones((T.shape[1], 1))  # sums the count terms per row
+    floors = _scored_floors(counts, epsilon)
 
-    def rates(X):
-        return _floored_rate(X[..., :-1] @ T, epsilon)
+    def poisson(raw):
+        return _poisson_terms(counts, _floored_rate(raw, floors)) @ ones
 
     def value(X):
         bern = bern_value(X @ c_aug)
         if not has_words:
             return bern
-        return bern + _poisson_terms(counts, rates(X)) @ ones
+        return bern + poisson(X[..., :-1] @ T)
 
     def value_and_gradient(X):
         bern, S = bern_value_and_slope(X @ c_aug)
         g = S @ c_aug.T
         if not has_words:
             return bern, g
-        a = rates(X)
-        g[..., :-1] += row_sums - _poisson_ratio(counts, a) @ T.T
-        return bern + _poisson_terms(counts, a) @ ones, g
+        raw = X[..., :-1] @ T
+        r = _poisson_ratio(counts, _floored_rate(raw, epsilon))
+        g[..., :-1] += row_sums - r @ T.T
+        return bern + poisson(raw), g
 
     def prox(point, step):
         return _prox_w(point, step * lam)
@@ -468,15 +518,19 @@ def t_block_subproblem(counts, W, eta, epsilon=1e-6):
     col_sums = W.sum(axis=0)
     if counts.ndim == 2:
         col_sums = col_sums[:, None]
+    floors = _scored_floors(counts, epsilon)
 
-    def value(T):
-        a = _floored_rate(W @ T, epsilon)
+    def value_at(raw, T):
+        a = _floored_rate(raw, floors)
         return ones @ _poisson_terms(counts, a) + half_eta @ (T * T)
 
+    def value(T):
+        return value_at(W @ T, T)
+
     def value_and_gradient(T):
-        a = _floored_rate(W @ T, epsilon)
-        return (ones @ _poisson_terms(counts, a) + half_eta @ (T * T),
-                col_sums - W.T @ _poisson_ratio(counts, a) + eta * T)
+        raw = W @ T
+        r = _poisson_ratio(counts, _floored_rate(raw, epsilon))
+        return value_at(raw, T), col_sums - W.T @ r + eta * T
 
     def prox(point, step):
         return prox_nonneg(point)

@@ -9,6 +9,7 @@ from conceptfit import (
     HyperParams,
     ValidationError,
     WordCountMatrix,
+    fista_minimize,
     fit,
     fit_responses_only,
     initialize,
@@ -92,6 +93,40 @@ class TestFit:
         assert np.array_equal(s1.W, s2.W)
         assert np.array_equal(s1.C, s2.C)
         assert np.array_equal(s1.T, s2.T)
+
+    def test_same_seed_fits_are_byte_identical_in_either_order(self):
+        # each fit carries its steps from sweep to sweep, and nothing else:
+        # a fit run before another leaves nothing behind for it
+        Y, B, params = small_problem()
+
+        def run(seed):
+            state, report = fit(Y, B, params, FitConfig(rng_seed=seed))
+            return (state.W.tobytes(), state.mu.tobytes(), state.C.tobytes(),
+                    state.T.tobytes(), report.objective_trace)
+
+        first = [run(0), run(1)]
+        second = [run(1), run(0)]
+        assert first[0] == second[1]
+        assert first[1] == second[0]
+        assert first[0] != first[1]
+
+    def test_each_block_solve_starts_from_its_last_first_step(self, monkeypatch):
+        import conceptfit.estimator as estimator
+
+        solves = []
+
+        def recorded(*args, initial_step=None, **kwargs):
+            result = fista_minimize(*args, initial_step=initial_step, **kwargs)
+            solves.append((initial_step, result.first_step))
+            return result
+
+        monkeypatch.setattr(estimator, "fista_minimize", recorded)
+        Y, B, params = small_problem()
+        _, report = fit(Y, B, params)
+        assert len(solves) == 3 * report.outer_iterations > 3
+        assert all(carried is None for carried, _ in solves[:3])
+        for (_, accepted), (carried, _) in zip(solves, solves[3:]):
+            assert carried is accepted
 
     def test_trace_matches_objective_of_returned_state(self):
         Y, B, params = small_problem()

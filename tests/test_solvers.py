@@ -20,7 +20,9 @@ from conceptfit import (
     t_column_subproblem,
     w_row_subproblem,
 )
+from conceptfit.model import poisson_slope
 from conceptfit.solvers import (
+    _STEP_FLOOR,
     c_block_subproblem,
     t_block_subproblem,
     w_block_subproblem,
@@ -640,3 +642,138 @@ class TestOnePassPerPoint:
             assert kept.solution.shape == fresh.solution.shape, name
             assert same_bits(kept.final_objective, fresh.final_objective), name
             assert kept.iterations_used == fresh.iterations_used > 1, name
+
+
+def first_iteration_steps(build, x, cfg, initial_step=None):
+    """A solve of ``build()``'s rows and the steps its first iteration tried."""
+    sub, gradients, tried = build(), [], []
+    smooth_rows, penalty_rows = sub.rows
+
+    def gradient(point):
+        gradients.append(point)
+        return sub.smooth_gradient(point)
+
+    def prox(point, step):
+        if len(gradients) == 1:  # still in the first iteration
+            tried.append(np.array(step, dtype=float))
+        return sub.prox(point, step)
+
+    res = fista_minimize(gradient, smooth_rows, prox, x, cfg, penalty_rows,
+                         initial_step=initial_step)
+    return res, tried
+
+
+class TestCarriedStep:
+    """``initial_step`` starts each row near the step its last solve accepted."""
+
+    def test_no_carried_step_starts_every_row_at_one(self, rng):
+        cfg = FistaConfig(max_iterations=60, relative_tolerance=1e-12)
+        for name, build, x in block_builders(rng)[:3]:
+            default, tried = first_iteration_steps(build, x, cfg)
+            assert np.all(tried[0] == 1.0), name
+            ones = np.ones_like(default.first_step)
+            for carried in (None, ones):
+                res, _ = first_iteration_steps(build, x, cfg, carried)
+                assert res.solution.tobytes() == default.solution.tobytes(), name
+                assert same_bits(res.final_objective, default.final_objective), name
+                assert res.iterations_used == default.iterations_used, name
+                assert same_bits(res.first_step, default.first_step), name
+
+    def test_a_carried_step_starts_its_row_at_four_times_it_up_to_one(self, rng):
+        name, build, X = block_builders(rng, Q=6)[0]
+        carried = np.array([2.0**-3, 2.0**-10, 0.5, 1.0, _STEP_FLOOR, 1e-30])[:, None]
+        _, tried = first_iteration_steps(build, X, FistaConfig(max_iterations=5),
+                                         carried)
+        want = np.array([2.0**-1, 2.0**-8, 1.0, 1.0, 1.0, 1.0])[:, None]
+        assert same_bits(tried[0], want)
+
+    def test_first_step_is_the_step_the_first_iteration_accepted(self, rng):
+        cfg = FistaConfig(max_iterations=60, relative_tolerance=1e-12)
+        for name, build, x in block_builders(rng):
+            res, tried = first_iteration_steps(build, x, cfg)
+            assert same_bits(res.first_step, tried[-1]), name
+            assert np.all(res.first_step <= 1.0), name
+
+    def test_resolving_from_its_own_first_step_tries_at_most_three_candidates(self,
+                                                                             rng):
+        cfg = FistaConfig(max_iterations=3000, relative_tolerance=1e-13)
+        for name, build, x in block_builders(rng):
+            cold, cold_tried = first_iteration_steps(build, x, cfg)
+            warm, tried = first_iteration_steps(build, x, cfg, cold.first_step)
+            assert len(tried) <= min(3, len(cold_tried)), name
+            assert same_bits(warm.first_step, cold.first_step), name
+            assert warm.final_objective == approx(cold.final_objective, rel=1e-9), name
+
+
+def floored_counted_cells(rng, Q=5, N=6, V=4, K=2):
+    """Block builders at points whose rates sit below epsilon under counts.
+
+    Row 0 of W is zero, row 1 tiny, column 0 of T zero: their rates are 0 or
+    about 1e-9, and every one of their cells has a count.
+    """
+    from conceptfit import GradedResponseSet
+
+    W, mu, C, T, entries, counts = random_instance(rng, Q, N, V, K)
+    W[0], W[1], T[:, 0] = 0.0, 1e-9, 0.0
+    counts = counts.astype(float)
+    counts[:2] += 1.0
+    counts[:, 0] += 2.0
+    Y = GradedResponseSet(Q, N, entries)
+    c_aug = np.vstack([C, np.ones((1, N))])
+    X = np.hstack([W, mu[:, None]])
+    row = [(j, y) for qi, j, y in entries if qi == 0]
+    y_row = np.array([y for _, y in row], dtype=float)
+    c_obs = c_aug[:, [j for j, _ in row]]
+    tau, lam, eta = 1.4, 0.2, 0.3
+    return W, T, counts, eta, [
+        ("W", lambda: w_block_subproblem((Y.cells, Y.grades.astype(float)), c_aug,
+                                         counts, T, tau, lam), X),
+        ("T", lambda: t_block_subproblem(counts, W, eta), T),
+        ("w row", lambda: w_row_subproblem(y_row, c_obs, counts[0], T, tau, lam), X[0]),
+        ("t column", lambda: t_column_subproblem(counts[:, 0], W, eta), T[:, 0]),
+    ]
+
+
+class TestCountedCellsOnTheRateFloor:
+    """Solver values score a cell with a count at its raw rate, below epsilon too."""
+
+    def test_a_counted_word_is_not_projected_onto_the_rate_floor(self):
+        # one word counted once, at question 7: the first unit step projects its
+        # column to 0, where an epsilon-floored value is flat, and from there no
+        # step passes its bound until the step floor
+        epsilon = 1e-6
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            W = rng.uniform(0.5, 2.5, (40, 3))
+            counts = np.zeros((40, 1))
+            counts[7, 0] = 1.0
+            sub = t_block_subproblem(counts, W, 0.3, epsilon)
+            smooth_rows, penalty_rows = sub.rows
+            res = fista_minimize(sub.smooth_gradient, smooth_rows, sub.prox,
+                                 rng.uniform(0.0, 1.0, (3, 1)), FistaConfig(),
+                                 penalty_rows)
+            assert W[7] @ res.solution[:, 0] > epsilon, seed
+
+    def test_fused_and_value_only_values_agree_bitwise(self, rng):
+        _, _, _, _, builders = floored_counted_cells(rng)
+        for name, build, x in builders:
+            fresh = build().rows[0](np.array(x))
+            sub = build()
+            sub.smooth_gradient(x)
+            assert same_bits(sub.rows[0](x), fresh), name
+            assert np.isfinite(fresh).all(), name
+
+    def test_rate_zero_under_a_count_costs_about_708_per_count(self, rng):
+        W, T, counts, eta, builders = floored_counted_cells(rng)
+        value = t_block_subproblem(counts, W, eta).rows[0](T)
+        # column 0 of T is zero: each of its Q cells has rate 0 under its count
+        tiny = np.finfo(float).tiny
+        want = float(np.sum(tiny - counts[:, 0] * np.log(tiny)))
+        assert value[0, 0] == approx(want, rel=1e-15)
+        assert value[0, 0] > 700.0 * counts[:, 0].sum()
+
+    def test_slopes_still_floor_the_rate_at_epsilon(self, rng):
+        W, T, counts, eta, builders = floored_counted_cells(rng)
+        G = t_block_subproblem(counts, W, eta).smooth_gradient(T)
+        want = W.T @ poisson_slope(counts, W @ T) + eta * T
+        assert np.all(np.abs(G - want) <= 1e-12 * np.abs(want).max())
