@@ -13,7 +13,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import fit
-from .model import _check_finite_tau, bernoulli_nll, inverse_logit, observed_slacks
+from .model import _check_tau, bernoulli_nll, inverse_logit, observed_slacks
 
 __all__ = [
     "HoldoutSplit",
@@ -116,7 +116,7 @@ def mean_predicted_likelihood(state, test_entries, tau, log=False):
     mean log-likelihood, -bernoulli_nll, finite even where 1 - p underflows.
     Both raise ValidationError for a tau that is not finite and > 0.
     """
-    _check_finite_tau(tau)
+    _check_tau(tau)
     entries = list(test_entries)
     if not entries:
         raise ValidationError("test set is empty")

@@ -24,6 +24,7 @@ from .model import (
     GradedResponseSet,
     HyperParams,
     WordCountMatrix,
+    _check_tau,
     inverse_logit,
 )
 from .text import Corpus
@@ -72,31 +73,19 @@ def load_responses(path):
     q_index, l_index = {}, {}
     seen = {}
     entries = []
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _RESPONSES_HEADER:
+    for line, (qid, lid, grade) in _read_csv(path, _exact_header(_RESPONSES_HEADER)):
+        if not qid or not lid:
+            raise DataFormatError("empty question or learner id", path, (line,))
+        if grade not in ("0", "1"):
+            raise DataFormatError(f"grade must be 0 or 1, got {grade!r}", path, (line,))
+        qi = q_index.setdefault(qid, len(q_index))
+        lj = l_index.setdefault(lid, len(l_index))
+        if (qi, lj) in seen:
             raise DataFormatError(
-                "expected header 'question_id,learner_id,grade'", path, (1,)
+                f"duplicate pair ({qid}, {lid})", path, (seen[(qi, lj)], line)
             )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataFormatError(f"expected 3 fields, got {len(row)}", path, (line,))
-            qid, lid, grade = (field.strip() for field in row)
-            if not qid or not lid:
-                raise DataFormatError("empty question or learner id", path, (line,))
-            if grade not in ("0", "1"):
-                raise DataFormatError(f"grade must be 0 or 1, got {grade!r}", path, (line,))
-            qi = q_index.setdefault(qid, len(q_index))
-            lj = l_index.setdefault(lid, len(l_index))
-            if (qi, lj) in seen:
-                raise DataFormatError(
-                    f"duplicate pair ({qid}, {lid})", path, (seen[(qi, lj)], line)
-                )
-            seen[(qi, lj)] = line
-            entries.append((qi, lj, int(grade)))
+        seen[(qi, lj)] = line
+        entries.append((qi, lj, int(grade)))
     if not entries:
         raise DataFormatError("no data rows", path)
     responses = GradedResponseSet(len(q_index), len(l_index), entries)
@@ -428,8 +417,7 @@ def simulate(num_questions, num_learners, num_words, num_concepts, sparsity,
         raise ValidationError("sparsity cannot exceed the number of concepts")
     if not 0 <= missing_fraction < 1:
         raise ValidationError("missing_fraction must be in [0, 1)")
-    if not tau > 0:
-        raise ValidationError("tau must be > 0")
+    _check_tau(tau)
     rng = np.random.default_rng(seed)
     W = np.zeros((num_questions, num_concepts))
     for i in range(num_questions):
@@ -479,6 +467,39 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _read_csv(path, check_header):
+    """Yield the line number and stripped fields of each data row of a CSV file.
+
+    The file is read as UTF-8, a leading byte order mark dropped.
+    ``check_header(header, path)`` gets the stripped header fields, None for
+    an empty file, and raises DataFormatError to reject them. Blank rows are
+    skipped but counted, and every other row must have as many fields as the
+    header.
+    """
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is not None:
+            header = [h.strip() for h in header]
+        check_header(header, path)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"expected {len(header)} fields, got {len(row)}", path, (line,)
+                )
+            yield line, [field.strip() for field in row]
+
+
+def _exact_header(names):
+    """A ``_read_csv`` header check that accepts exactly the given columns."""
+    def check(header, path):
+        if header != names:
+            raise DataFormatError(f"expected header '{','.join(names)}'", path, (1,))
+    return check
+
+
 def write_responses_csv(responses, question_ids, learner_ids, path):
     _write_csv(path, _RESPONSES_HEADER, (
         [question_ids[i], learner_ids[j], int(y)]
@@ -506,13 +527,11 @@ def read_grid_csv(path):
     An optional epsilon column is honored; anything else is rejected.
     """
     path = Path(path)
-    grid = []
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    col = {}  # each column's index, filled in by the header check
+
+    def check_header(header, path):
         if header is None:
             raise DataFormatError("empty grid file", path, (1,))
-        header = [h.strip() for h in header]
         repeated = next((h for k, h in enumerate(header) if h in header[:k]), None)
         if repeated is not None:
             raise DataFormatError(f"grid header repeats the column {repeated!r}",
@@ -525,26 +544,22 @@ def read_grid_csv(path):
                 path,
                 (1,),
             )
-        col = {name: header.index(name) for name in header}
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"expected {len(header)} fields, got {len(row)}", path, (line,)
-                )
-            try:
-                params = HyperParams(
-                    lam=float(row[col["lambda"]]),
-                    gamma=float(row[col["gamma"]]),
-                    eta=float(row[col["eta"]]),
-                    tau=float(row[col["tau"]]),
-                    num_concepts=int(row[col["k"]]),
-                    epsilon=float(row[col["epsilon"]]) if "epsilon" in col else 1e-6,
-                )
-            except (ValueError, ValidationError) as exc:
-                raise DataFormatError(f"bad grid row: {exc}", path, (line,))
-            grid.append(params)
+        col.update((name, k) for k, name in enumerate(header))
+
+    grid = []
+    for line, row in _read_csv(path, check_header):
+        try:
+            params = HyperParams(
+                lam=float(row[col["lambda"]]),
+                gamma=float(row[col["gamma"]]),
+                eta=float(row[col["eta"]]),
+                tau=float(row[col["tau"]]),
+                num_concepts=int(row[col["k"]]),
+                epsilon=float(row[col["epsilon"]]) if "epsilon" in col else 1e-6,
+            )
+        except (ValueError, ValidationError) as exc:
+            raise DataFormatError(f"bad grid row: {exc}", path, (line,))
+        grid.append(params)
     if not grid:
         raise DataFormatError("grid file has no rows", path)
     return grid
@@ -572,20 +587,11 @@ def read_entries_csv(path):
     """Parse a prediction request CSV with header question_id,learner_id."""
     path = Path(path)
     pairs = []
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["question_id", "learner_id"]:
-            raise DataFormatError("expected header 'question_id,learner_id'", path, (1,))
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataFormatError(f"expected 2 fields, got {len(row)}", path, (line,))
-            qid, lid = (field.strip() for field in row)
-            if not qid or not lid:
-                raise DataFormatError("empty question or learner id", path, (line,))
-            pairs.append((qid, lid))
+    check_header = _exact_header(["question_id", "learner_id"])
+    for line, (qid, lid) in _read_csv(path, check_header):
+        if not qid or not lid:
+            raise DataFormatError("empty question or learner id", path, (line,))
+        pairs.append((qid, lid))
     if not pairs:
         raise DataFormatError("no data rows", path)
     return pairs

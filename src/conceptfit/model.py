@@ -10,13 +10,11 @@ weights W and ridge penalties on the knowledge profiles C and the word
 profiles T. The per-question difficulty mu rides along as an extra column
 of W during optimization but is neither penalized nor sign-constrained.
 
-Each channel's formulas are written once, here: ``bernoulli_nll``/
-``bernoulli_slope`` and ``poisson_nll``/``poisson_slope`` give value and
-derivative, and the fused kernels ``bernoulli_nll_and_slope`` and
-``poisson_nll_and_slope`` give both from one pass over shared intermediates,
-bit-for-bit equal to the separate ones. They are built from the private
-helpers below, which every subproblem in ``solvers`` calls too; the
-objective and held-out scoring call the public kernels.
+Each channel's formulas are written once, in the private helpers below.
+The block builders in ``solvers`` call those helpers directly, so that one
+pass gives a point's per-row values and its slopes from shared
+intermediates; ``bernoulli_nll`` and ``poisson_nll`` serve the objective
+and held-out scoring.
 
 The Bernoulli channel works on signed margins. With the signed precision
 m = tau * (2y - 1), formed once per grade set, the margin u = m * z is the
@@ -32,14 +30,13 @@ the floored rate: the slope 1 - r multiplied into a factor is that factor's
 constant column sums minus its product with r, which spares the solvers
 the Q x V pass 1 - r per evaluation.
 
-``objective`` and the public Poisson kernels floor every cell's rate at
-epsilon. The solvers' values floor only the cells with a zero count there
-and score a cell with a nonzero count at its raw rate, floored at the
-smallest normal float (``_scored_floors``), so that a rate driven to 0
-under a count is costly rather than flat. The two agree wherever every
-counted rate is at least epsilon, and for an epsilon of at most 1 the
-solvers' value is never below the objective's. Their slopes keep the
-epsilon floor.
+``objective`` and ``poisson_nll`` floor every cell's rate at epsilon. The
+solvers' values floor only the cells with a zero count there and score a
+cell with a nonzero count at its raw rate, floored at the smallest normal
+float (``_scored_floors``), so that a rate driven to 0 under a count is
+costly rather than flat. The two agree wherever every counted rate is at
+least epsilon, and for an epsilon of at most 1 the solvers' value is never
+below the objective's. Their slopes keep the epsilon floor.
 
 All values here are immutable once constructed and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -60,11 +57,7 @@ __all__ = [
     "FitReport",
     "inverse_logit",
     "bernoulli_nll",
-    "bernoulli_slope",
-    "bernoulli_nll_and_slope",
     "poisson_nll",
-    "poisson_slope",
-    "poisson_nll_and_slope",
     "observed_slacks",
     "objective",
     "predict_response_prob",
@@ -295,12 +288,11 @@ def inverse_logit(x):
 
 
 def _check_tau(tau):
-    if not tau > 0:
-        raise ValidationError("tau must be > 0")
+    """Reject a precision that is not finite and > 0.
 
-
-def _check_finite_tau(tau):
-    """A prediction's precision: a negative tau flips it, zero or NaN gives 0.5."""
+    A negative tau flips every probability, zero or NaN gives 0.5, and inf
+    gives 0 or 1.
+    """
     if not (math.isfinite(tau) and tau > 0):
         raise ValidationError(f"tau must be finite and > 0, got {tau!r}")
 
@@ -340,31 +332,11 @@ def bernoulli_nll(y, z, tau):
     log1p(exp(-|u|)) - min(u, 0): exp never sees a positive argument, and
     numpy runs ``exp`` and ``log1p`` on its vectorised loops, where its
     ``logaddexp`` runs a scalar one. Raises ValidationError unless every
-    grade is 0 or 1.
+    grade is 0 or 1 and tau is finite and > 0.
     """
     _check_tau(tau)
     u, e = _bernoulli_margins(_signed_precision(y, tau), np.asarray(z, dtype=float))
     return _array_or_float(_bernoulli_terms(u, e))
-
-
-def bernoulli_slope(y, z, tau):
-    """Derivative of ``bernoulli_nll`` in z: the tau-scaled logistic residual."""
-    m = _signed_precision(y, tau)
-    return _array_or_float(_bernoulli_slopes(m, *_bernoulli_margins(
-        m, np.asarray(z, dtype=float))))
-
-
-def bernoulli_nll_and_slope(y, z, tau):
-    """``(bernoulli_nll(y, z, tau), bernoulli_slope(y, z, tau))`` from one pass.
-
-    The margin and exp(-|margin|) are computed once and serve both, and the
-    results are bit-for-bit those of the two separate kernels.
-    """
-    _check_tau(tau)
-    m = _signed_precision(y, tau)
-    u, e = _bernoulli_margins(m, np.asarray(z, dtype=float))
-    return (_array_or_float(_bernoulli_terms(u, e)),
-            _array_or_float(_bernoulli_slopes(m, u, e)))
 
 
 def _floored_rate(a_raw, epsilon):
@@ -401,25 +373,6 @@ def poisson_nll(b, a_raw, epsilon=1e-6):
     affect minimization; values are comparable only within this package.
     """
     return _array_or_float(_poisson_terms(b, _floored_rate(a_raw, epsilon)))
-
-
-def poisson_slope(b, a_raw, epsilon=1e-6):
-    """Derivative of ``poisson_nll`` in the raw rate above the floor, 1 - b / a.
-
-    The rate a is floored as in the value, so the slope is finite everywhere.
-    """
-    return _array_or_float(1.0 - _poisson_ratio(b, _floored_rate(a_raw, epsilon)))
-
-
-def poisson_nll_and_slope(b, a_raw, epsilon=1e-6):
-    """``(poisson_nll(b, a_raw, epsilon), poisson_slope(b, a_raw, epsilon))``.
-
-    The floored rate is computed once and serves both, and the results are
-    bit-for-bit those of the two separate kernels.
-    """
-    a = _floored_rate(a_raw, epsilon)
-    return (_array_or_float(_poisson_terms(b, a)),
-            _array_or_float(1.0 - _poisson_ratio(b, a)))
 
 
 def _check_dims(responses, word_counts, state, params):
@@ -485,7 +438,7 @@ def predict_response_prob(state, i, j, tau):
     Raises ValidationError for an index out of range or a tau that is not
     finite and > 0.
     """
-    _check_finite_tau(tau)
+    _check_tau(tau)
     if not 0 <= i < state.num_questions:
         raise ValidationError(
             f"question index {i} out of range [0, {state.num_questions})"

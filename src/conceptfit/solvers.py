@@ -37,9 +37,9 @@ no later step could follow. The slopes keep the epsilon floor, so every
 gradient stays finite.
 
 Each FISTA iteration makes one fused pass at its momentum point y: the
-builder's ``smooth_gradient(y)`` runs the fused kernels once and keeps the
-per-row values, and the value call at y right after returns them, because y
-is the same array and still holds the same bytes. Each candidate step then
+builder's ``smooth_gradient(y)`` computes values and slopes together and
+keeps the per-row values, and the value call at y right after returns them,
+because y is the same array and still holds the same bytes. Each candidate step then
 costs a value-only pass, and the start value of a solve is the first fused
 pass's.
 

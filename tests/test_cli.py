@@ -249,6 +249,20 @@ def test_fit_with_a_non_finite_hyperparameter_names_it(sim_files, tmp_path, caps
     assert not out.exists()
 
 
+def test_simulate_with_a_tau_that_is_not_finite_names_it(tmp_path, capsys):
+    # --tau inf used to write a data set of grades drawn at probabilities 0 and 1
+    prefix = tmp_path / "demo"
+    for tau in ("inf", "nan"):
+        capsys.readouterr()
+        assert run("simulate", "--questions", 10, "--learners", 12, "--vocab", 8,
+                   "-k", 2, "--sparsity", 1, "--tau", tau, "--out-prefix", prefix) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: tau must be finite and > 0, got {tau}")
+        assert len(captured.err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_weight_floor_help_names_mean_positive_weight():
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")

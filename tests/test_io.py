@@ -1,5 +1,6 @@
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -313,6 +314,12 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate(5, 5, 3, 2, sparsity=3, tau=1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_tau_that_is_not_finite_and_positive_rejected(self, tau):
+        # inf used to pass and drew every grade at probability 0 or 1
+        with pytest.raises(ValidationError, match="tau must be finite and > 0"):
+            simulate(10, 12, 8, 2, sparsity=1, tau=tau)
+
     def test_poisson_mean_matches_rates(self):
         # empirical mean of counts over many questions at fixed profiles is
         # within 3 standard errors of the rate
@@ -475,3 +482,94 @@ class TestAuxCsv:
         path.write_text("question_id\nq1\n")
         with pytest.raises(DataFormatError):
             read_entries_csv(path)
+
+
+class CsvCase(NamedTuple):
+    """One CSV reader, the rows to feed it, and its (message, lines) errors."""
+
+    read: object
+    header: str
+    good: str  # a valid data row
+    short: str  # a row one field short
+    empty: str  # a row whose first field is empty
+    empty_error: tuple
+    header_only_error: tuple
+    empty_file_error: tuple
+
+
+CSV_READERS = {
+    "responses": CsvCase(
+        lambda path: load_responses(path).responses.entries,
+        "question_id,learner_id,grade", "q1,s1,1", "q1,s1", " ,s1,1",
+        ("empty question or learner id", (2,)),
+        ("no data rows", ()),
+        ("expected header 'question_id,learner_id,grade'", (1,)),
+    ),
+    "entries": CsvCase(
+        read_entries_csv,
+        "question_id,learner_id", "q1,s2", "q1", " ,s2",
+        ("empty question or learner id", (2,)),
+        ("no data rows", ()),
+        ("expected header 'question_id,learner_id'", (1,)),
+    ),
+    "grid": CsvCase(
+        read_grid_csv,
+        "lambda,gamma,eta,tau,k", "0.1,0.2,0.3,2.0,3", "0.1,0.2,0.3,2.0", ",0.2,0.3,2.0,3",
+        ("bad grid row: could not convert string to float: ''", (2,)),
+        ("grid file has no rows", ()),
+        ("empty grid file", (1,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CSV_READERS.values(), ids=CSV_READERS.keys())
+class TestCsvReaders:
+    """One test per error kind, run on each of the three CSV readers."""
+
+    @staticmethod
+    def fails(case, path, error):
+        message, lines = error
+        with pytest.raises(DataFormatError) as err:
+            case.read(path)
+        assert str(err.value) == str(DataFormatError(message, path, lines))
+
+    @staticmethod
+    def field_count_error(case, line):
+        want, got = case.header.count(",") + 1, case.short.count(",") + 1
+        return f"expected {want} fields, got {got}", (line,)
+
+    def test_wrong_field_count_names_the_line(self, tmp_path, case):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{case.header}\n{case.good}\n{case.short}\n")
+        self.fails(case, path, self.field_count_error(case, 3))
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path, case):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{case.header}\n{case.good}\n")
+        plain = case.read(path)
+        path.write_text(f"{case.header}\n\n{case.good}\n\n")
+        assert case.read(path) == plain
+        path.write_text(f"{case.header}\n\n{case.good}\n\n\n{case.short}\n")
+        self.fails(case, path, self.field_count_error(case, 6))
+
+    def test_a_byte_order_mark_before_the_header_is_dropped(self, tmp_path, case):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{case.header}\n{case.good}\n")
+        plain = case.read(path)
+        path.write_bytes(f"\ufeff{case.header}\r\n{case.good}\r\n".encode("utf-8"))
+        assert case.read(path) == plain
+
+    def test_empty_first_field_is_rejected_on_its_line(self, tmp_path, case):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{case.header}\n{case.empty}\n")
+        self.fails(case, path, case.empty_error)
+
+    def test_header_only_file_has_no_rows(self, tmp_path, case):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{case.header}\n\n")
+        self.fails(case, path, case.header_only_error)
+
+    def test_empty_file_is_rejected_on_line_1(self, tmp_path, case):
+        path = tmp_path / "f.csv"
+        path.write_text("")
+        self.fails(case, path, case.empty_file_error)

@@ -14,18 +14,17 @@ from conceptfit.model import (
     HyperParams,
     WordCountMatrix,
     bernoulli_nll,
-    bernoulli_nll_and_slope,
-    bernoulli_slope,
     inverse_logit,
     objective,
     poisson_nll,
-    poisson_nll_and_slope,
-    poisson_slope,
 )
 from conceptfit.solvers import (
     c_block_subproblem,
+    c_column_subproblem,
     t_block_subproblem,
+    t_column_subproblem,
     w_block_subproblem,
+    w_row_subproblem,
 )
 from oracles import (
     central_difference,
@@ -44,6 +43,28 @@ taus = st.floats(0.1, 3.0)
 
 def scalar_difference(f, x):
     return (f(x + H) - f(x - H)) / (2.0 * H)
+
+
+def grade_slopes(y, z, tau):
+    """Each cell's slope in its slack, tau-scaled, from the one-column C view.
+
+    With W = I, mu = 0 and gamma = 0 the slacks are the variable and the
+    gradient is the slope of each cell.
+    """
+    n = z.size
+    sub = c_column_subproblem(y.ravel(), np.eye(n), np.zeros(n), 0.0, tau)
+    return sub.smooth_gradient(z.ravel()).reshape(z.shape)
+
+
+def count_slopes(b, a_raw):
+    """Each cell's slope 1 - b / max(a_raw, epsilon), from the one-column T view.
+
+    With W = I and eta = 0 the rates are the variable and the gradient is
+    the slope of each cell.
+    """
+    n = a_raw.size
+    sub = t_column_subproblem(b.ravel(), np.eye(n), 0.0, EPSILON)
+    return sub.smooth_gradient(a_raw.ravel()).reshape(a_raw.shape)
 
 
 def same_bits(got, ref):
@@ -100,57 +121,22 @@ def test_bernoulli_kernels_raise_no_floating_point_error(y, tz):
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         inverse_logit(z)
         bernoulli_nll(y, z, 1.0)
-        bernoulli_slope(y, z, 1.0)
-
-
-@given(z=st.lists(st.one_of(any_floats, edge_floats), min_size=1, max_size=30),
-       data=st.data(), tau=st.one_of(taus, st.sampled_from([1.0, 2.0, 1e3])))
-@settings(deadline=None)
-def test_fused_bernoulli_kernel_is_bitwise_the_separate_kernels(z, data, tau):
-    # tau * z passes 745 for |z| >= 745 / tau, where exp(-|tau * z|) is 0
-    y = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(z),
-                           max_size=len(z)))
-    y, z = np.array(y), np.array(z)
-    with np.errstate(all="ignore"):  # inf and NaN slacks make inf - inf
-        nll, slope = bernoulli_nll_and_slope(y, z, tau)
-        assert same_bits(nll, bernoulli_nll(y, z, tau))
-        assert same_bits(slope, bernoulli_slope(y, z, tau))
-        for yi, zi in zip(y[:3].tolist(), z[:3].tolist()):
-            nll, slope = bernoulli_nll_and_slope(yi, zi, tau)
-            assert isinstance(nll, float) and isinstance(slope, float)
-            assert same_bits(nll, bernoulli_nll(yi, zi, tau))
-            assert same_bits(slope, bernoulli_slope(yi, zi, tau))
-
-
-@given(a_raw=st.lists(st.one_of(any_floats, edge_floats,
-                                st.floats(-1.0, 2 * EPSILON)), min_size=1, max_size=30),
-       data=st.data())
-@settings(deadline=None)
-def test_fused_poisson_kernel_is_bitwise_the_separate_kernels(a_raw, data):
-    # rates at and below the floor are floored in both kernels alike
-    b = data.draw(st.lists(st.one_of(st.integers(0, 50).map(float), any_floats),
-                           min_size=len(a_raw), max_size=len(a_raw)))
-    b, a_raw = np.array(b), np.array(a_raw)
-    with np.errstate(all="ignore"):  # inf and NaN counts or rates make inf - inf
-        nll, slope = poisson_nll_and_slope(b, a_raw, EPSILON)
-        assert same_bits(nll, poisson_nll(b, a_raw, EPSILON))
-        assert same_bits(slope, poisson_slope(b, a_raw, EPSILON))
-        for bi, ai in zip(b[:3].tolist(), a_raw[:3].tolist()):
-            nll, slope = poisson_nll_and_slope(bi, ai, EPSILON)
-            assert isinstance(nll, float) and isinstance(slope, float)
-            assert same_bits(nll, poisson_nll(bi, ai, EPSILON))
-            assert same_bits(slope, poisson_slope(bi, ai, EPSILON))
 
 
 @given(y=st.sampled_from([0.0, 1.0]),
        tz=st.one_of(st.floats(-1e300, 1e300), edge_floats.filter(math.isfinite)),
        b=st.integers(0, 1000))
 @settings(deadline=None)
-def test_fused_kernels_raise_no_floating_point_error(y, tz, b):
-    z = np.array([tz, -tz])
+def test_one_row_views_raise_no_floating_point_error(y, tz, b):
+    # the W-row view at [w | mu] = [s, s] over one concept: a zero knowledge
+    # row leaves the difficulty as each grade's slack and w * 1 as the word's
+    # rate; the C-column view would square s in its ridge, overflowing by itself
+    c_obs = np.array([[0.0, 0.0], [1.0, 1.0]])
+    sub = w_row_subproblem([y, 1.0 - y], c_obs, [b], np.ones((1, 1)), 1.0, 0.2, EPSILON)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        bernoulli_nll_and_slope(y, z, 1.0)
-        poisson_nll_and_slope(b, z, EPSILON)
+        for s in (tz, -tz):
+            sub.smooth_value(np.array([s, s]))
+            sub.smooth_gradient(np.array([s, s]))
 
 
 @given(data=st.data(), shape=shapes, tau=taus)
@@ -158,8 +144,7 @@ def test_fused_kernels_raise_no_floating_point_error(y, tz, b):
 def test_bernoulli_slope_is_the_derivative_of_the_oracle(data, shape, tau):
     z = data.draw(arrays(float, shape, elements=st.floats(-5, 5)))
     y = data.draw(arrays(float, shape, elements=st.sampled_from([0.0, 1.0])))
-    got = bernoulli_slope(y, z, tau)
-    assert got.shape == shape
+    got = grade_slopes(y, z, tau)
     for idx in np.ndindex(shape):
         yi = int(y[idx])
         fd = scalar_difference(lambda v: naive_bernoulli_nll(yi, v, tau), z[idx])
@@ -172,8 +157,7 @@ def test_poisson_slope_is_the_derivative_of_the_oracle(data, shape):
     # rates stay 2H clear of the floor, where the value is differentiable
     a_raw = data.draw(arrays(float, shape, elements=st.floats(0.05, 5.0)))
     b = data.draw(arrays(float, shape, elements=st.integers(0, 20).map(float)))
-    got = poisson_slope(b, a_raw, EPSILON)
-    assert got.shape == shape
+    got = count_slopes(b, a_raw)
     for idx in np.ndindex(shape):
         fd = scalar_difference(
             lambda v: naive_poisson_nll(b[idx], v, EPSILON), a_raw[idx]
@@ -183,7 +167,8 @@ def test_poisson_slope_is_the_derivative_of_the_oracle(data, shape):
 
 @given(b=st.integers(0, 20), a_raw=st.floats(-3.0, EPSILON))
 def test_poisson_slope_uses_the_floored_rate_at_or_below_the_floor(b, a_raw):
-    assert poisson_slope(b, a_raw, EPSILON) == approx(1.0 - b / EPSILON, rel=1e-15)
+    assert count_slopes(np.array([b]), np.array([a_raw]))[0] == approx(
+        1.0 - b / EPSILON, rel=1e-15)
     assert poisson_nll(b, a_raw, EPSILON) == approx(
         naive_poisson_nll(b, a_raw, EPSILON), rel=1e-15
     )
@@ -192,9 +177,7 @@ def test_poisson_slope_uses_the_floored_rate_at_or_below_the_floor(b, a_raw):
 @given(y=st.sampled_from([0, 1]), z=st.floats(-400, 400), tau=taus)
 def test_scalar_kernels_return_floats(y, z, tau):
     assert isinstance(bernoulli_nll(y, z, tau), float)
-    assert isinstance(bernoulli_slope(y, z, tau), float)
-    assert math.isfinite(bernoulli_slope(y, z, tau))
-    assert isinstance(poisson_slope(y, z, EPSILON), float)
+    assert isinstance(poisson_nll(y, z, EPSILON), float)
 
 
 def blocks_instance(seed, Q, N, V, K):

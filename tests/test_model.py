@@ -20,7 +20,6 @@ from conceptfit import (
     poisson_nll,
     predict_response_prob,
 )
-from conceptfit.model import bernoulli_nll_and_slope, bernoulli_slope
 from oracles import naive_objective
 
 
@@ -80,13 +79,14 @@ class TestBernoulliNll:
     @pytest.mark.parametrize("y", [0.5, -1.0, 2.0, math.nan])
     def test_grades_other_than_0_and_1_rejected(self, y):
         # the signed-margin form scores only 0 and 1; a soft grade is not one
-        for kernel in (bernoulli_nll, bernoulli_slope, bernoulli_nll_and_slope):
-            with pytest.raises(ValidationError, match="grades"):
-                kernel(np.array([1.0, y]), np.zeros(2), 1.0)
+        with pytest.raises(ValidationError, match="grades"):
+            bernoulli_nll(np.array([1.0, y]), np.zeros(2), 1.0)
 
-    def test_requires_positive_tau(self):
-        with pytest.raises(ValidationError):
-            bernoulli_nll(1, 0.0, 0.0)
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_requires_positive_tau(self, tau):
+        # inf used to pass: bernoulli_nll(1, 0.5, inf) was 0.0
+        with pytest.raises(ValidationError, match="tau must be finite and > 0"):
+            bernoulli_nll(1, 0.5, tau)
 
     @given(
         y=st.integers(0, 1),

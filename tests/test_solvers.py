@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from conceptfit import (
     t_column_subproblem,
     w_row_subproblem,
 )
-from conceptfit.model import poisson_slope
 from conceptfit.solvers import (
     _STEP_FLOOR,
     c_block_subproblem,
@@ -523,6 +524,13 @@ def test_soft_grades_are_scored_as_the_cross_entropy(rng):
         c_column_subproblem(np.array([0.0, 1.5]), W_obs[:2], mu_obs[:2], gamma, tau)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_bernoulli_builders_reject_a_tau_that_is_not_finite_and_positive(tau):
+    # inf used to pass, making every grade's margin infinite
+    with pytest.raises(ValidationError, match="tau must be finite and > 0"):
+        c_column_subproblem([0.0, 1.0], np.ones((2, 1)), np.zeros(2), 0.4, tau)
+
+
 def block_builders(rng, Q=6, N=7, V=5, K=2):
     """Each block's builder, as a function of nothing, and a point to evaluate.
 
@@ -775,5 +783,5 @@ class TestCountedCellsOnTheRateFloor:
     def test_slopes_still_floor_the_rate_at_epsilon(self, rng):
         W, T, counts, eta, builders = floored_counted_cells(rng)
         G = t_block_subproblem(counts, W, eta).smooth_gradient(T)
-        want = W.T @ poisson_slope(counts, W @ T) + eta * T
+        want = W.T @ (1.0 - counts / np.maximum(W @ T, 1e-6)) + eta * T
         assert np.all(np.abs(G - want) <= 1e-12 * np.abs(want).max())
