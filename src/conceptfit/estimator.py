@@ -13,6 +13,7 @@ than where it started, so the recorded trace is nonincreasing up to float
 evaluation noise.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -44,8 +45,10 @@ class FitConfig:
         if not (isinstance(self.max_outer_iterations, int)
                 and self.max_outer_iterations >= 0):
             raise ValidationError("max_outer_iterations must be an integer >= 0")
-        if not self.outer_relative_tolerance > 0:
-            raise ValidationError("outer_relative_tolerance must be > 0")
+        tol = self.outer_relative_tolerance
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValidationError(
+                f"outer_relative_tolerance must be finite and > 0, got {tol!r}")
 
 
 def initialize(num_questions, num_learners, num_words, num_concepts, rng_seed):
@@ -119,7 +122,7 @@ def _descend(responses, word_counts, state, params, config):
     def solve(block, sub, x0):
         """Solve a block row by row, from the steps its last solve carried."""
         smooth_value, nonsmooth_value = sub.rows
-        result = fista_minimize(sub.smooth_gradient, smooth_value, sub.prox, x0,
+        result = fista_minimize(sub.value_and_gradient, smooth_value, sub.prox, x0,
                                 config.inner, nonsmooth_value,
                                 initial_step=steps.get(block))
         steps[block] = result.first_step

@@ -114,14 +114,26 @@ def mean_predicted_likelihood(state, test_entries, tau, log=False):
     Each entry (i, j, y) contributes p if y == 1 else 1 - p, with p the
     predicted correct-response probability. ``log=True`` switches to the
     mean log-likelihood, -bernoulli_nll, finite even where 1 - p underflows.
-    Both raise ValidationError for a tau that is not finite and > 0.
+    Both raise ValidationError for a tau that is not finite and > 0, and for
+    entries that are not triples of integers with a grade of 0 or 1.
     """
     _check_tau(tau)
     entries = list(test_entries)
     if not entries:
         raise ValidationError("test set is empty")
-    arr = np.asarray(entries, dtype=np.int64)
+    try:
+        arr = np.asarray(entries)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValidationError("test entries must be (question, learner, grade) triples")
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() \
+            or (arr != np.floor(arr)).any():
+        raise ValidationError("test entries must be integers")
+    arr = arr.astype(np.int64)
     qi, lj, y = arr[:, 0], arr[:, 1], arr[:, 2]
+    if ((y != 0) & (y != 1)).any():
+        raise ValidationError("test entry grade must be 0 or 1")
     if qi.min() < 0 or qi.max() >= state.num_questions:
         raise ValidationError("test entry question index out of range")
     if lj.min() < 0 or lj.max() >= state.num_learners:

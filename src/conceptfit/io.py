@@ -470,6 +470,8 @@ def _write_csv(path, header, rows):
 def _read_csv(path, check_header):
     """Yield the line number and stripped fields of each data row of a CSV file.
 
+    A row's line number is the physical line its record starts on, so a
+    quoted field that spans lines moves the rows after it down.
     The file is read as UTF-8, a leading byte order mark dropped.
     ``check_header(header, path)`` gets the stripped header fields, None for
     an empty file, and raises DataFormatError to reject them. Blank rows are
@@ -482,7 +484,9 @@ def _read_csv(path, check_header):
         if header is not None:
             header = [h.strip() for h in header]
         check_header(header, path)
-        for line, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(header):

@@ -36,12 +36,12 @@ flat and such a step would pass, leaving a row whose slope, 1 - b / epsilon,
 no later step could follow. The slopes keep the epsilon floor, so every
 gradient stays finite.
 
-Each FISTA iteration makes one fused pass at its momentum point y: the
-builder's ``smooth_gradient(y)`` computes values and slopes together and
-keeps the per-row values, and the value call at y right after returns them,
-because y is the same array and still holds the same bytes. Each candidate step then
-costs a value-only pass, and the start value of a solve is the first fused
-pass's.
+Each FISTA iteration makes one fused pass at its momentum point y: handed
+a builder's ``Subproblem.value_and_gradient`` as its gradient callable,
+``fista_minimize`` takes the per-row values and the gradient at y from that
+one call. Each candidate step then costs a value-only pass, and the start
+value of a solve is the first fused pass's. The builders store nothing
+between calls.
 
 At the benchmark's sizes numpy's per-call overhead, not the arithmetic,
 sets the cost of a pass, so the builders keep the number of array calls
@@ -119,8 +119,10 @@ class FistaConfig:
     def __post_init__(self):
         if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
             raise ValidationError("max_iterations must be an integer >= 1")
-        if not self.relative_tolerance > 0:
-            raise ValidationError("relative_tolerance must be > 0")
+        tol = self.relative_tolerance
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValidationError(
+                f"relative_tolerance must be finite and > 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,11 @@ class Subproblem(NamedTuple):
     ``rows``, from the block builders, is the pair of callables giving the
     same two values per row (the nonsmooth one None for a smooth problem),
     which ``fista_minimize`` takes to give every row its own step.
+    ``value_and_gradient``, from the block builders, is the fused pass: it
+    returns the pair (the per-row smooth values, the gradient), bitwise
+    equal to what ``rows[0]`` and ``smooth_gradient`` return one at a time.
+    Passed to ``fista_minimize`` as ``smooth_gradient``, it spares every
+    iteration a value-only pass at the momentum point.
     """
 
     smooth_value: Callable
@@ -152,6 +159,7 @@ class Subproblem(NamedTuple):
     prox: Callable
     nonsmooth_value: Optional[Callable] = None
     rows: Optional[tuple] = None
+    value_and_gradient: Optional[Callable] = None
 
 
 def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
@@ -181,13 +189,16 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     objective at ``x0``, ``final_objective``, their sum, and ``first_step``,
     each row's step as the first iteration accepted it.
 
-    Every iteration calls ``smooth_gradient(y)`` and then ``smooth_value(y)``
-    at the momentum point y, then ``smooth_value`` at each candidate. The
-    first momentum point is a copy of ``x0``, so its value is the start
-    value: no call precedes the first gradient. The block builders below
-    take the value at y from the gradient's own fused pass, so with them an
-    iteration costs one fused pass at y plus one value-only pass per
-    candidate, and a solve makes no pass besides.
+    ``smooth_gradient(y)`` returns either the gradient at y or the pair
+    (the smooth value at y, the gradient), such as a block builder's
+    ``value_and_gradient``. Every iteration calls ``smooth_gradient(y)`` at
+    the momentum point y; given a plain gradient it then calls
+    ``smooth_value(y)``, and given the pair it makes no value call at y.
+    Then it calls ``smooth_value`` at each candidate, right after ``prox``.
+    The first momentum point is a copy of ``x0``, so its value is the start
+    value: no call precedes the first gradient. With the pair an iteration
+    costs one fused pass at y plus one value-only pass per candidate, and a
+    solve makes no pass besides.
     """
     config = config or FistaConfig()
     penalty = nonsmooth_value if nonsmooth_value is not None else (lambda _: 0.0)
@@ -196,10 +207,11 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     t = 1.0
     used = 0
     for k in range(1, config.max_iterations + 1):
-        grad = np.asarray(smooth_gradient(y), dtype=float)
+        out = smooth_gradient(y)
+        f_y, grad = out if isinstance(out, tuple) else (smooth_value(y), out)
+        grad = np.asarray(grad, dtype=float)
         if not np.isfinite(grad).all():
             raise NonFiniteGradientError(k)
-        f_y = smooth_value(y)
         if k == 1:  # y is still x0
             best_f = np.array(f_y + penalty(y), dtype=float)
             best_x = x.copy()
@@ -330,54 +342,20 @@ def t_column_subproblem(b_col, W, eta, epsilon=1e-6):
     return t_block_subproblem(np.asarray(b_col, dtype=float), W, eta, epsilon)
 
 
-def _one_pass_per_point(value_and_gradient, value):
-    """``(row_value, smooth_gradient)`` that evaluate a point's kernels once.
-
-    ``smooth_gradient(x)`` makes one fused pass and keeps its per-row values
-    with x and a snapshot of x's shape, dtype and bytes. ``row_value(x)``
-    returns the kept values only when x is that array and still matches the
-    snapshot, as ``fista_minimize``'s momentum point does right after its
-    gradient; any other argument, an array changed in place since included,
-    is evaluated from scratch. The identity test spares the candidates the
-    snapshot, and the kept triple is replaced and read as one tuple, so
-    callers sharing a builder across threads never pair one point's value
-    with another point.
-    """
-    kept = (None, None, None)
-
-    def snapshot(x):
-        a = np.asarray(x)
-        return a.shape, a.dtype, a.tobytes()
-
-    def row_value(x):
-        point, key, f = kept
-        return f if x is point and key == snapshot(x) else value(x)
-
-    def smooth_gradient(x):
-        nonlocal kept
-        key = snapshot(x)
-        f, g = value_and_gradient(x)
-        kept = (x, key, f)
-        return g
-
-    return row_value, smooth_gradient
-
-
 def _subproblem(value_and_gradient, value, prox, penalty=None):
     """The ``Subproblem`` of a builder whose values come per row.
 
     ``value`` and ``penalty`` give one value per row of the variable, and
     ``rows`` hands them to ``fista_minimize``; ``smooth_value`` and
-    ``nonsmooth_value`` sum them.
+    ``nonsmooth_value`` sum them. ``value_and_gradient`` is the fused pass,
+    and ``smooth_gradient`` keeps only its gradient.
     """
-    row_value, smooth_gradient = _one_pass_per_point(value_and_gradient, value)
-
     def summed(per_row):
         return lambda x: float(np.add.reduce(per_row(x), None))
 
-    return Subproblem(summed(row_value), smooth_gradient, prox,
+    return Subproblem(summed(value), lambda x: value_and_gradient(x)[1], prox,
                       None if penalty is None else summed(penalty),
-                      (row_value, penalty))
+                      (value, penalty), value_and_gradient)
 
 
 def _observed_bernoulli(cells, y, tau, axis):

@@ -195,6 +195,22 @@ def test_malformed_responses_exit_nonzero(tmp_path, capsys):
     assert "grade" in capsys.readouterr().err
 
 
+def test_an_infinite_tolerance_exits_with_one_error_line(sim_files, tmp_path, capsys):
+    # --outer-tol inf used to fit one sweep and report it converged
+    out = tmp_path / "m.json"
+    for flag in ("--outer-tol", "--inner-tol"):
+        capsys.readouterr()
+        code = run("fit-baseline", "--responses", sim_files["responses"],
+                   "--lambda", "0.2", "--gamma", "0.2", "--tau", "2.0", "-k", "2",
+                   flag, "inf", "--output", out)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "tolerance must be finite and > 0" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_evaluate_tau_override_required_for_truth_archive(sim_files, capsys):
     code = run("evaluate", "--archive", sim_files["truth"],
                "--responses", sim_files["responses"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -192,3 +194,13 @@ class TestConfigValidation:
     def test_rejects_bad_inner(self):
         with pytest.raises(ValidationError):
             FistaConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-5])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        # inf used to pass, and a fit then stopped as converged after one sweep
+        with pytest.raises(ValidationError,
+                           match="relative_tolerance must be finite and > 0"):
+            FistaConfig(relative_tolerance=tol)
+        with pytest.raises(ValidationError,
+                           match="outer_relative_tolerance must be finite and > 0"):
+            FitConfig(outer_relative_tolerance=tol)

@@ -141,6 +141,29 @@ class TestMeanPredictedLikelihood:
         with pytest.raises(ValidationError, match="tau"):
             predict_response_prob(S, 0, 0, tau)
 
+    @pytest.mark.parametrize("entries, message", [
+        ([(0, 0, 2)], "grade must be 0 or 1"),
+        ([(0, 1, -1)], "grade must be 0 or 1"),
+        ([(0, 0, 0.7)], "must be integers"),
+        ([(0.9, 0, 1)], "must be integers"),
+        ([(0, 0, math.nan)], "must be integers"),
+        ([("0", 0, 1)], "must be integers"),
+        ([(0, 0)], "triples"),
+        ([(0, 0, 1, 1)], "triples"),
+        ([(0, 0, 1), (0, 1)], "triples"),
+    ])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_entries_it_cannot_score_are_rejected(self, entries, message, log):
+        # a grade of 2 or 0.7 was scored as an incorrect grade, and a question
+        # index of 0.9 was truncated to 0
+        S = FactorState([[1.0]], [0.5], [[1.0, -1.0]], np.zeros((1, 1)))
+        with pytest.raises(ValidationError, match=message):
+            mean_predicted_likelihood(S, entries, tau=1.0, log=log)
+        # integral floats and repeated entries still score
+        once = mean_predicted_likelihood(S, [(0, 0, 1)], tau=1.0, log=log)
+        assert mean_predicted_likelihood(S, [(0.0, 0, 1.0), (0, 0, 1)], tau=1.0,
+                                         log=log) == once
+
     def test_empty_test_set_rejected(self):
         S = FactorState(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
         with pytest.raises(ValidationError):

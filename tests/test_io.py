@@ -552,6 +552,15 @@ class TestCsvReaders:
         path.write_text(f"{case.header}\n\n{case.good}\n\n\n{case.short}\n")
         self.fails(case, path, self.field_count_error(case, 6))
 
+    def test_rows_after_a_record_spanning_lines_name_their_physical_line(self,
+                                                                        tmp_path, case):
+        # the good row's first field holds a quoted newline, so the short row
+        # is the third record but starts on line 4
+        first, rest = case.good.split(",", 1)
+        path = tmp_path / "f.csv"
+        path.write_text(f'{case.header}\n"{first}\n",{rest}\n{case.short}\n')
+        self.fails(case, path, self.field_count_error(case, 4))
+
     def test_a_byte_order_mark_before_the_header_is_dropped(self, tmp_path, case):
         path = tmp_path / "f.csv"
         path.write_text(f"{case.header}\n{case.good}\n")

@@ -562,94 +562,49 @@ def block_builders(rng, Q=6, N=7, V=5, K=2):
     ]
 
 
-def frozen_copy(x):
-    x = np.array(x, dtype=float)
-    x.setflags(write=False)
-    return x
-
-
 def same_bits(a, b):
     return np.array(a).tobytes() == np.array(b).tobytes()
 
 
 class TestOnePassPerPoint:
-    """The block builders keep the value of the point whose gradient they took.
+    """``value_and_gradient`` is the builders' fused pass, one call per point.
 
-    ``fista_minimize`` asks for the value at its momentum point right after
-    the gradient there; the builders answer from that one fused pass, and
-    must never answer with a value kept for other contents.
+    ``fista_minimize`` takes the value at its momentum point from the pair
+    that call returns; the pair must be bitwise what the value-only pass and
+    the gradient return one at a time.
     """
 
-    def test_value_after_gradient_is_bitwise_a_fresh_value(self, rng):
+    def test_fused_call_is_bitwise_the_row_values_and_the_gradient(self, rng):
         for name, build, x in block_builders(rng):
-            for point in (frozen_copy(x), np.array(x, dtype=float)):
-                fresh = build().smooth_value(np.array(point))
-                sub = build()
-                sub.smooth_gradient(point)
-                assert same_bits(sub.smooth_value(point), fresh), name
-                assert same_bits(sub.smooth_value(np.array(point)), fresh), name
+            values, gradient = build().value_and_gradient(np.array(x))
+            want = build().rows[0](np.array(x))
+            assert same_bits(values, want) and values.shape == want.shape, name
+            assert same_bits(gradient, build().smooth_gradient(np.array(x))), name
 
-    def test_value_after_an_in_place_change_is_the_new_value(self, rng):
-        def check(name, build, point, change):
-            sub = build()
-            sub.smooth_gradient(point)
-            before = sub.smooth_value(point)
-            change()
-            fresh = build().smooth_value(np.array(point))
-            assert same_bits(sub.smooth_value(point), fresh), name
-            assert not same_bits(fresh, before), name
-
-        for name, build, x in block_builders(rng):
-            point = np.array(x, dtype=float)
-
-            def scale():
-                point[...] *= 1.5
-
-            check(name, build, point, scale)
-
-            # frozen, made writable, written and frozen again
-            point = frozen_copy(x)
-
-            def refreeze():
-                point.setflags(write=True)
-                point[...] *= 1.5
-                point.setflags(write=False)
-
-            check(name, build, point, refreeze)
-
-            # written through a writable view made before the freeze
-            base = np.array(x, dtype=float)
-            view = base.view()
-            base.setflags(write=False)
-            check(name, build, base, lambda: view.__imul__(1.5))
-
-            # a read-only view whose writable base is written
-            base = np.array(x, dtype=float)
-            view = base.view()
-            view.setflags(write=False)
-            check(name, build, view, lambda: base.__imul__(1.5))
-
-    def test_value_of_another_point_is_never_the_kept_one(self, rng):
-        for name, build, x in block_builders(rng):
-            point, other = frozen_copy(x), frozen_copy(np.asarray(x) * 1.5)
-            sub = build()
-            sub.smooth_gradient(point)
-            assert same_bits(sub.smooth_value(other), build().smooth_value(other)), name
-
-    def test_fista_result_is_bitwise_that_without_the_kept_value(self, rng):
+    def test_fista_result_is_bitwise_with_the_pair_and_with_the_gradient(self, rng):
         cfg = FistaConfig(max_iterations=60, relative_tolerance=1e-12)
         for name, build, x in block_builders(rng):
-            sub = build()
-            kept = fista_minimize(sub.smooth_gradient, sub.smooth_value, sub.prox, x,
-                                  cfg, sub.nonsmooth_value)
-            # values from a builder that never took a gradient keep nothing
-            grad_sub, value_sub = build(), build()
-            fresh = fista_minimize(grad_sub.smooth_gradient, value_sub.smooth_value,
-                                   sub.prox, x, cfg, sub.nonsmooth_value)
-            assert kept.solution.tobytes() == fresh.solution.tobytes(), name
-            assert kept.solution.shape == fresh.solution.shape, name
-            assert same_bits(kept.final_objective, fresh.final_objective), name
-            assert kept.iterations_used == fresh.iterations_used > 1, name
+            sub, calls = build(), []
+
+            def counted(kind, fn):
+                def call(*args):
+                    calls.append(kind)
+                    return fn(*args)
+                return call
+
+            smooth_rows, penalty_rows = sub.rows
+            fused = fista_minimize(counted("gradient", sub.value_and_gradient),
+                                   counted("value", smooth_rows),
+                                   counted("prox", sub.prox), x, cfg, penalty_rows)
+            plain = fista_minimize(sub.smooth_gradient, smooth_rows, sub.prox, x, cfg,
+                                   penalty_rows)
+            assert fused.solution.tobytes() == plain.solution.tobytes(), name
+            assert fused.solution.shape == plain.solution.shape, name
+            assert same_bits(fused.final_objective, plain.final_objective), name
+            assert same_bits(fused.first_step, plain.first_step), name
+            assert fused.iterations_used == plain.iterations_used > 1, name
+            assert calls.count("gradient") == fused.iterations_used, name
+            assert calls.count("value") == calls.count("prox"), name
 
 
 def first_iteration_steps(build, x, cfg, initial_step=None):
@@ -766,9 +721,7 @@ class TestCountedCellsOnTheRateFloor:
         _, _, _, _, builders = floored_counted_cells(rng)
         for name, build, x in builders:
             fresh = build().rows[0](np.array(x))
-            sub = build()
-            sub.smooth_gradient(x)
-            assert same_bits(sub.rows[0](x), fresh), name
+            assert same_bits(build().value_and_gradient(np.array(x))[0], fresh), name
             assert np.isfinite(fresh).all(), name
 
     def test_rate_zero_under_a_count_costs_about_708_per_count(self, rng):
