@@ -1,5 +1,6 @@
 """Holdout scoring, hyperparameter grid search, and concept interpretation."""
 
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -205,10 +206,14 @@ def cross_validate(responses, word_counts, grid, config, folds_or_fraction=0.2,
     broken toward larger lam (sparser associations), then smaller tau, then
     grid order. With ``n_threads`` > 1 the grid points are fitted in that
     many spawned worker processes, with the same scores as a serial run.
-    Returns (best params, full score table). Raises InfeasibleSplitError
-    when the holdout or any fold would leave a question or learner without
-    a training entry.
+    Returns (best params, full score table). Raises ValidationError unless
+    ``n_threads`` is an integer >= 1, and InfeasibleSplitError when the
+    holdout or any fold would leave a question or learner without a
+    training entry.
     """
+    if (isinstance(n_threads, bool) or not isinstance(n_threads, (int, np.integer))
+            or n_threads < 1):
+        raise ValidationError(f"n_threads must be an integer >= 1, got {n_threads!r}")
     grid = list(grid)
     if not grid:
         raise ValidationError("hyperparameter grid is empty")
@@ -284,13 +289,15 @@ def association_graph(state, weight_floor=None):
     With ``weight_floor=None`` the floor defaults to 5% of the mean positive
     association weight. That prunes noise edges while staying meaningful for
     heavy-tailed weights, where a fraction of the largest single weight would
-    silence entire questions.
+    silence entire questions. Raises ValidationError for a floor that is
+    not finite and >= 0.
     """
     if weight_floor is None:
         positive = state.W[state.W > 0]
         weight_floor = 0.05 * float(positive.mean()) if positive.size else 0.0
-    if weight_floor < 0:
-        raise ValidationError("weight_floor must be >= 0")
+    if not (math.isfinite(weight_floor) and weight_floor >= 0):
+        raise ValidationError(
+            f"weight_floor must be finite and >= 0, got {weight_floor!r}")
     pairs = np.argwhere(state.W > weight_floor)
     edges = tuple(
         (int(i), int(k), float(state.W[i, k])) for i, k in pairs

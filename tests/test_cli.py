@@ -211,6 +211,37 @@ def test_an_infinite_tolerance_exits_with_one_error_line(sim_files, tmp_path, ca
     assert not out.exists()
 
 
+def test_a_nan_weight_floor_exits_with_one_error_line(sim_files, tmp_path, capsys):
+    # a nan floor used to write a graph with no edges
+    archive = tmp_path / "m.json"
+    assert run("fit", "--responses", sim_files["responses"], "--corpus",
+               sim_files["corpus"], *HYPER, "--max-outer", 2, "--output", archive) == 0
+    graph = tmp_path / "g.dot"
+    capsys.readouterr()
+    code = run("export-graph", "--archive", archive, "--weight-floor", "nan",
+               "--output", graph)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: weight_floor must be finite and >= 0")
+    assert len(err.strip().splitlines()) == 1
+    assert not graph.exists()
+
+
+def test_cv_with_zero_threads_exits_with_one_error_line(sim_files, tmp_path, capsys):
+    # --threads 0 used to run serially
+    grid = tmp_path / "grid.csv"
+    grid.write_text("lambda,gamma,eta,tau,k\n0.1,0.2,0.2,2.0,2\n")
+    table = tmp_path / "scores.csv"
+    code = run("cv", "--responses", sim_files["responses"], "--corpus",
+               sim_files["corpus"], "--grid", grid, "--threads", 0,
+               "--table", table, "--output", tmp_path / "best.json")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_threads must be an integer >= 1")
+    assert len(err.strip().splitlines()) == 1
+    assert not table.exists()
+
+
 def test_evaluate_tau_override_required_for_truth_archive(sim_files, capsys):
     code = run("evaluate", "--archive", sim_files["truth"],
                "--responses", sim_files["responses"])

@@ -157,6 +157,44 @@ class TestFit:
             fit(Y, bad, params)
 
 
+CANON = dict(num_questions=50, num_learners=100, num_words=60, num_concepts=3,
+             sparsity=2, tau=2.0, missing_fraction=0.5)
+CANON_PARAMS = HyperParams(lam=0.3, gamma=0.3, eta=0.3, tau=2.0, num_concepts=3)
+
+
+class TestExtrapolatedSweeps:
+    def test_canonical_grades_only_fit_converges_below_the_cap(self):
+        # without extrapolation this fit was still descending at sweep 100
+        Y, _, _ = simulate(seed=6, **CANON)
+        _, report = fit_responses_only(Y, CANON_PARAMS, FitConfig(rng_seed=0))
+        assert report.converged
+        assert report.outer_iterations < 100
+
+    def test_canonical_joint_fit_converges_in_50_sweeps(self):
+        # without extrapolation this fit took 87 sweeps
+        Y, B, _ = simulate(seed=0, **CANON)
+        _, report = fit(Y, B, CANON_PARAMS, FitConfig(rng_seed=0))
+        assert report.converged
+        assert report.outer_iterations <= 50
+
+    @pytest.mark.parametrize("words", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_trace_never_rises_and_the_state_stays_feasible(self, words, seed):
+        Y, B, params = small_problem(seed)
+        config = FitConfig(max_outer_iterations=150, outer_relative_tolerance=1e-9,
+                           rng_seed=seed)
+        if words:
+            state, report = fit(Y, B, params, config)
+        else:
+            state, report = fit_responses_only(Y, params, config)
+        assert len(report.objective_trace) > 10
+        assert_trace_nonincreasing(report.objective_trace)
+        assert np.all(state.W >= 0) and np.all(state.T >= 0)
+        B_fit = B if words else WordCountMatrix(Y.num_questions, (),
+                                                np.zeros((Y.num_questions, 0)))
+        assert objective(Y, B_fit, state, params) == report.objective_trace[-1]
+
+
 class TestFitResponsesOnly:
     def test_returns_empty_word_profiles(self):
         Y, B, params = small_problem()

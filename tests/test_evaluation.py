@@ -248,6 +248,13 @@ class TestCrossValidate:
         assert b1 == b2
         assert [r.score for r in t1] == [r.score for r in t2]
 
+    @pytest.mark.parametrize("n_threads", [0, -1, 2.5, 1.0, True, "2", None])
+    def test_rejects_a_thread_count_that_is_not_a_positive_integer(self, n_threads):
+        # 0 and -1 used to run serially, and 2.5 escaped as a TypeError
+        with pytest.raises(ValidationError, match="n_threads must be an integer >= 1"):
+            cross_validate(self.Y, self.B, [self.params()], self.cfg, 0.2,
+                           n_threads=n_threads)
+
 
 class TestTopKeywords:
     def test_single_concept_ordering(self):
@@ -282,6 +289,15 @@ class TestTopKeywords:
 
 
 class TestAssociationGraph:
+    @pytest.mark.parametrize("floor", [math.nan, math.inf])
+    def test_rejects_a_floor_that_is_not_finite(self, floor):
+        # a nan floor used to give a graph with no edges: W > nan is all False
+        S = FactorState(np.ones((2, 1)), np.zeros(2), np.ones((1, 2)),
+                        np.zeros((1, 1)))
+        with pytest.raises(ValidationError,
+                           match="weight_floor must be finite and >= 0"):
+            association_graph(S, weight_floor=floor)
+
     def test_zero_weights_no_edges(self):
         S = FactorState(np.zeros((4, 2)), np.zeros(4), np.zeros((2, 3)),
                         np.zeros((2, 1)))
