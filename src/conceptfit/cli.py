@@ -45,10 +45,19 @@ from .text import build_vocabulary, count_matrix, load_stop_words
 def _add_config_options(parser):
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for every random choice (default 0)")
-    parser.add_argument("--max-outer", type=int, default=100)
-    parser.add_argument("--outer-tol", type=float, default=1e-5)
-    parser.add_argument("--inner-max-iter", type=int, default=200)
-    parser.add_argument("--inner-tol", type=float, default=1e-7)
+    parser.add_argument("--max-outer", type=int, default=100,
+                        help="most outer sweeps of block descent (default 100)")
+    parser.add_argument("--outer-tol", type=float, default=1e-5,
+                        help="stop once a sweep of full-accuracy block solves "
+                             "lowers the objective by at most this relative "
+                             "amount (default 1e-5)")
+    parser.add_argument("--inner-max-iter", type=int, default=200,
+                        help="most FISTA iterations per block solve (default 200)")
+    parser.add_argument("--inner-tol", type=float, default=1e-7,
+                        help="relative change that ends a block solve in the "
+                             "sweeps that may end the fit; earlier sweeps solve "
+                             "to 0.1x the last sweep's relative decrease, 1e-3 "
+                             "in the first (default 1e-7)")
 
 
 def _add_hyper_options(parser, with_eta=True):

@@ -59,8 +59,9 @@ def holdout_split(responses, fraction, seed):
     The test side gets round(fraction * observed) entries. A plain uniform
     draw is tried first; if it would leave some question or learner with no
     training entry, a greedy pass over the same shuffled order skips
-    disqualifying picks instead. Raises InfeasibleSplitError when even the
-    greedy pass cannot reach the target size.
+    disqualifying picks instead. Raises ValidationError when that rounds to
+    no test entry at all, and InfeasibleSplitError when even the greedy pass
+    cannot reach the target size.
     """
     if not 0 < fraction < 1:
         raise ValidationError("fraction must be in (0, 1)")
@@ -68,6 +69,10 @@ def holdout_split(responses, fraction, seed):
     if total < 2:
         raise ValidationError("need at least two observed entries to split")
     n_test = int(round(fraction * total))
+    if n_test == 0:
+        raise ValidationError(
+            f"holdout fraction {fraction} of {total} observed grades holds out "
+            "no entry; use a larger fraction")
     rng = np.random.default_rng(seed)
     order = rng.permutation(total)
 
@@ -156,13 +161,13 @@ class CvScore:
 
 
 def _make_folds(responses, folds_or_fraction, seed):
-    if isinstance(folds_or_fraction, bool):
+    if isinstance(folds_or_fraction, (bool, np.bool_)):
         raise ValidationError("folds_or_fraction must be a fraction or a fold count")
-    if isinstance(folds_or_fraction, float):
-        split = holdout_split(responses, folds_or_fraction, seed)
+    if isinstance(folds_or_fraction, (float, np.floating)):
+        split = holdout_split(responses, float(folds_or_fraction), seed)
         return [(split.train_entries, responses.triples(split.test_entries))]
-    if isinstance(folds_or_fraction, int):
-        k = folds_or_fraction
+    if isinstance(folds_or_fraction, (int, np.integer)):
+        k = int(folds_or_fraction)
         total = responses.num_observed
         if k < 2 or k > total:
             raise ValidationError("fold count must be in [2, num observed entries]")

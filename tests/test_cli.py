@@ -195,6 +195,34 @@ def test_malformed_responses_exit_nonzero(tmp_path, capsys):
     assert "grade" in capsys.readouterr().err
 
 
+def test_a_holdout_that_rounds_to_no_test_entry_exits_with_one_error_line(tmp_path,
+                                                                          capsys):
+    # 20 observed grades at 0.02 used to train on all of them
+    responses = tmp_path / "r.csv"
+    responses.write_text("question_id,learner_id,grade\n" + "".join(
+        f"q{i},s{j},{(i + j) % 2}\n" for i in range(4) for j in range(5)))
+    out = tmp_path / "m.json"
+    code = run("fit-baseline", "--responses", responses, "--lambda", "0.1",
+               "--gamma", "0.1", "--tau", "1.0", "-k", "1",
+               "--holdout-fraction", "0.02", "--output", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: holdout fraction 0.02 of 20 observed grades")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_every_fit_option_has_help():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    for command in ("fit", "fit-baseline", "cv"):
+        helps = {a.option_strings[-1]: a.help for a in subparsers[command]._actions}
+        for flag in ("--max-outer", "--outer-tol", "--inner-max-iter", "--inner-tol"):
+            assert helps[flag], (command, flag)
+    assert "full-accuracy" in helps["--outer-tol"]
+    assert "0.1x the last sweep's relative decrease" in helps["--inner-tol"]
+
+
 def test_an_infinite_tolerance_exits_with_one_error_line(sim_files, tmp_path, capsys):
     # --outer-tol inf used to fit one sweep and report it converged
     out = tmp_path / "m.json"

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -193,6 +194,65 @@ class TestExtrapolatedSweeps:
         B_fit = B if words else WordCountMatrix(Y.num_questions, (),
                                                 np.zeros((Y.num_questions, 0)))
         assert objective(Y, B_fit, state, params) == report.objective_trace[-1]
+
+
+def record_solves(monkeypatch):
+    """Each block solve's (relative tolerance, iterations used), in order."""
+    import conceptfit.estimator as estimator
+
+    signature = inspect.signature(fista_minimize)
+    solves = []
+
+    def recorded(*args, **kwargs):
+        config = signature.bind(*args, **kwargs).arguments["config"]
+        result = fista_minimize(*args, **kwargs)
+        solves.append((config.relative_tolerance, result.iterations_used))
+        return result
+
+    monkeypatch.setattr(estimator, "fista_minimize", recorded)
+    return solves
+
+
+class TestInexactBlockSolves:
+    @pytest.mark.parametrize("config", [FitConfig(), TIGHT], ids=["default", "tight"])
+    @pytest.mark.parametrize("words", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_only_a_sweep_at_the_configured_tolerance_ends_a_fit(
+            self, monkeypatch, config, words, seed):
+        solves = record_solves(monkeypatch)
+        Y, B, params = small_problem(seed)
+        if not words:
+            B = WordCountMatrix(Y.num_questions, (), np.zeros((Y.num_questions, 0)))
+        config = FitConfig(config.max_outer_iterations,
+                           config.outer_relative_tolerance, config.inner, seed)
+        _, report = fit(Y, B, params, config)
+        assert report.converged
+        blocks = 3 if words else 2
+        assert len(solves) == blocks * report.outer_iterations
+        configured = config.inner.relative_tolerance
+        sweeps = [[tol for tol, _ in solves[k:k + blocks]]
+                  for k in range(0, len(solves), blocks)]
+        # a sweep solves every block to one tolerance, the last one to the
+        # configured tolerance, and none tighter
+        assert all(len(set(sweep)) == 1 for sweep in sweeps)
+        assert sweeps[-1][0] == configured
+        assert min(sweep[0] for sweep in sweeps) >= configured
+        # and none looser than 1e-3 in the first sweep, or than a tenth of
+        # the last sweep's relative decrease after it
+        assert sweeps[0][0] == max(1e-3, configured)
+        init = initialize(Y.num_questions, Y.num_learners, B.num_words,
+                          params.num_concepts, seed)
+        objectives = [objective(Y, B, init, params), *report.objective_trace]
+        for sweep, prev, cur in zip(sweeps[1:], objectives, objectives[1:]):
+            assert sweep[0] <= max(0.1 * ((prev - cur) / abs(prev)), configured)
+
+    def test_canonical_joint_fit_makes_at_most_600_inner_iterations(self, monkeypatch):
+        # every solve at the configured tolerance took 1,546
+        solves = record_solves(monkeypatch)
+        Y, B, _ = simulate(seed=0, **CANON)
+        _, report = fit(Y, B, CANON_PARAMS, FitConfig(rng_seed=0))
+        assert report.converged
+        assert sum(used for _, used in solves) <= 600
 
 
 class TestFitResponsesOnly:

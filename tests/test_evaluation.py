@@ -82,6 +82,13 @@ class TestHoldoutSplit:
         with pytest.raises(ValidationError):
             holdout_split(Y, 1.0, 0)
 
+    def test_a_fraction_that_holds_out_no_entry_is_rejected(self):
+        # 20 observed grades at 0.02 used to split into 20 train and 0 test
+        Y = grid_responses(4, 5)
+        with pytest.raises(ValidationError, match=r"fraction 0\.02 of 20 observed"):
+            holdout_split(Y, 0.02, 0)
+        assert len(holdout_split(Y, 0.05, 0).test_entries) == 1
+
 
 class TestMeanPredictedLikelihood:
     def test_uninformative_state_scores_half(self):
@@ -247,6 +254,22 @@ class TestCrossValidate:
         b2, t2 = cross_validate(self.Y, self.B, grid, self.cfg, 0.2, n_threads=2)
         assert b1 == b2
         assert [r.score for r in t1] == [r.score for r in t2]
+
+    @pytest.mark.parametrize("folds_or_fraction, plain", [
+        (np.int64(3), 3), (np.int32(3), 3), (np.float32(0.25), 0.25),
+    ])
+    def test_accepts_numpy_numbers(self, folds_or_fraction, plain):
+        # numpy integers and float32 used to be rejected as neither a
+        # fraction nor a fold count
+        p = self.params()
+        _, table = cross_validate(self.Y, self.B, [p], self.cfg, folds_or_fraction)
+        _, expected = cross_validate(self.Y, self.B, [p], self.cfg, plain)
+        assert table[0].score == expected[0].score
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rejects_a_bool_for_the_folds(self, flag):
+        with pytest.raises(ValidationError, match="fraction or a fold count"):
+            cross_validate(self.Y, self.B, [self.params()], self.cfg, flag)
 
     @pytest.mark.parametrize("n_threads", [0, -1, 2.5, 1.0, True, "2", None])
     def test_rejects_a_thread_count_that_is_not_a_positive_integer(self, n_threads):
