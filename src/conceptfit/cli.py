@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from . import model
 from .errors import ConceptfitError
 from .estimator import FitConfig, fit
 from .evaluation import (
@@ -40,6 +41,14 @@ from .io import (
 from .model import FitReport, HyperParams, WordCountMatrix
 from .solvers import FistaConfig
 from .text import build_vocabulary, count_matrix, load_stop_words
+
+
+_RESPONSES_HELP = "grades CSV with header question_id,learner_id,grade"
+_CORPUS_HELP = ("question text JSONL: one object per line with question_id "
+                "and text or terms")
+_ARCHIVE_HELP = "model archive JSON written by fit, fit-baseline or cv"
+_ARCHIVE_OUT_HELP = "model archive JSON to write"
+_HOLDOUT_HELP = "exclude this fraction of grades from training"
 
 
 def _add_config_options(parser):
@@ -72,7 +81,8 @@ def _add_hyper_options(parser, with_eta=True):
                         help="response precision")
     parser.add_argument("--epsilon", type=float, default=1e-6,
                         help="Poisson rate floor (default 1e-6)")
-    parser.add_argument("-k", "--num-concepts", type=int, required=True)
+    parser.add_argument("-k", "--num-concepts", type=int, required=True,
+                        help="number of latent concepts K")
 
 
 def _add_text_options(parser):
@@ -146,23 +156,37 @@ def _resolve_tau(args, archive):
     )
 
 
+def _archive_pairs(archive, question_ids, learner_ids, questions, learners):
+    """Archive indices of the pairs (question_ids[q], learner_ids[l]).
+
+    q and l run over the index arrays questions and learners; each id is
+    looked up once. The first pair with an id the archive lacks raises.
+    """
+    def lookup(known, ids):
+        index = {x: k for k, x in enumerate(known)}
+        return np.array([index.get(x, -1) for x in ids], dtype=np.int64)
+
+    qi = lookup(archive.question_ids, question_ids)[questions]
+    lj = lookup(archive.learner_ids, learner_ids)[learners]
+    unknown = np.flatnonzero((qi < 0) | (lj < 0))
+    if unknown.size:
+        k = unknown[0]
+        if qi[k] < 0:
+            raise ConceptfitError(f"unknown question_id {question_ids[questions[k]]!r}")
+        raise ConceptfitError(f"unknown learner_id {learner_ids[learners[k]]!r}")
+    return qi, lj
+
+
 def cmd_predict(args):
     archive = load_archive(args.archive)
     tau = _resolve_tau(args, archive)
-    q_index = {qid: i for i, qid in enumerate(archive.question_ids)}
-    l_index = {lid: j for j, lid in enumerate(archive.learner_ids)}
-    rows = []
-    from .model import predict_response_prob
-
-    for qid, lid in read_entries_csv(args.entries):
-        if qid not in q_index:
-            raise ConceptfitError(f"unknown question_id {qid!r}")
-        if lid not in l_index:
-            raise ConceptfitError(f"unknown learner_id {lid!r}")
-        prob = predict_response_prob(archive.state, q_index[qid], l_index[lid], tau)
-        rows.append((qid, lid, prob))
-    write_predictions_csv(rows, args.output)
-    print(f"wrote {args.output}: {len(rows)} prediction(s)")
+    question_ids, learner_ids = zip(*read_entries_csv(args.entries))
+    pairs = np.arange(len(question_ids))
+    qi, lj = _archive_pairs(archive, question_ids, learner_ids, pairs, pairs)
+    # through the module, so a wrapper set on it at run time sees the call
+    probs = model.predict_response_prob(archive.state, qi, lj, tau)
+    write_predictions_csv(zip(question_ids, learner_ids, probs.tolist()), args.output)
+    print(f"wrote {args.output}: {len(probs)} prediction(s)")
     return 0
 
 
@@ -170,29 +194,17 @@ def cmd_evaluate(args):
     archive = load_archive(args.archive)
     tau = _resolve_tau(args, archive)
     loaded = load_responses(args.responses)
-    q_index = {qid: i for i, qid in enumerate(archive.question_ids)}
-    l_index = {lid: j for j, lid in enumerate(archive.learner_ids)}
-
-    def remap(triples):
-        out = []
-        for i, j, y in triples:
-            qid = loaded.question_ids[i]
-            lid = loaded.learner_ids[j]
-            if qid not in q_index:
-                raise ConceptfitError(f"unknown question_id {qid!r}")
-            if lid not in l_index:
-                raise ConceptfitError(f"unknown learner_id {lid!r}")
-            out.append((q_index[qid], l_index[lid], y))
-        return out
-
+    responses = loaded.responses
     if args.holdout_fraction is not None:
-        split = holdout_split(loaded.responses, args.holdout_fraction, args.seed)
-        triples = loaded.responses.triples(split.test_entries)
+        split = holdout_split(responses, args.holdout_fraction, args.seed)
+        selected = np.array(split.test_entries)
     else:
-        triples = loaded.responses.triples()
-    score = mean_predicted_likelihood(archive.state, remap(triples), tau,
-                                      log=args.log)
-    print(repr(score))
+        selected = np.arange(responses.num_observed)
+    qi, lj = _archive_pairs(archive, loaded.question_ids, loaded.learner_ids,
+                            responses.question_idx[selected],
+                            responses.learner_idx[selected])
+    entries = np.stack([qi, lj, responses.grades[selected]], axis=1)
+    print(repr(mean_predicted_likelihood(archive.state, entries, tau, log=args.log)))
     return 0
 
 
@@ -266,49 +278,55 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit the full model from grades and text")
-    p.add_argument("--responses", required=True)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--responses", required=True, help=_RESPONSES_HELP)
+    p.add_argument("--corpus", required=True, help=_CORPUS_HELP)
     _add_hyper_options(p)
     _add_text_options(p)
     _add_config_options(p)
     p.add_argument("--holdout-fraction", type=float, default=None,
-                   help="exclude this fraction of grades from training")
-    p.add_argument("--output", required=True)
+                   help=_HOLDOUT_HELP)
+    p.add_argument("--output", required=True, help=_ARCHIVE_OUT_HELP)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fit-baseline", help="fit the grades-only baseline")
-    p.add_argument("--responses", required=True)
+    p.add_argument("--responses", required=True, help=_RESPONSES_HELP)
     _add_hyper_options(p, with_eta=False)
     _add_config_options(p)
-    p.add_argument("--holdout-fraction", type=float, default=None)
-    p.add_argument("--output", required=True)
+    p.add_argument("--holdout-fraction", type=float, default=None, help=_HOLDOUT_HELP)
+    p.add_argument("--output", required=True, help=_ARCHIVE_OUT_HELP)
     # the joint fit over zero words; eta weighs nothing then, but
     # HyperParams requires it and the archive records it
     p.set_defaults(func=cmd_fit, corpus=None, eta=1.0)
 
     p = sub.add_parser("predict", help="probabilities for listed pairs")
-    p.add_argument("--archive", required=True)
+    p.add_argument("--archive", required=True, help=_ARCHIVE_HELP)
     p.add_argument("--entries", required=True,
                    help="CSV with header question_id,learner_id")
     p.add_argument("--tau", type=float, default=None,
                    help="override the archived precision")
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=True,
+                   help="CSV to write: question_id,learner_id,probability")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="mean predicted likelihood on grades")
-    p.add_argument("--archive", required=True)
-    p.add_argument("--responses", required=True)
+    p.add_argument("--archive", required=True, help=_ARCHIVE_HELP)
+    p.add_argument("--responses", required=True,
+                   help="grades CSV to score, header question_id,learner_id,grade")
     p.add_argument("--holdout-fraction", type=float, default=None,
                    help="score only the held-out side of this split")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the split (default 0); to score a fit's "
+                        "held-out grades it must equal that fit's --seed, "
+                        "with the same --holdout-fraction")
+    p.add_argument("--tau", type=float, default=None,
+                   help="override the archived precision")
     p.add_argument("--log", action="store_true",
                    help="mean log-likelihood instead of mean probability")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("cv", help="cross-validate a hyperparameter grid")
-    p.add_argument("--responses", required=True)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--responses", required=True, help=_RESPONSES_HELP)
+    p.add_argument("--corpus", required=True, help=_CORPUS_HELP)
     p.add_argument("--grid", required=True,
                    help="CSV with columns lambda,gamma,eta,tau,k")
     group = p.add_mutually_exclusive_group()
@@ -326,30 +344,39 @@ def build_parser():
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("keywords", help="per-concept keyword table")
-    p.add_argument("--archive", required=True)
-    p.add_argument("--top", type=int, default=3)
-    p.add_argument("--output", required=True)
+    p.add_argument("--archive", required=True, help=_ARCHIVE_HELP)
+    p.add_argument("--top", type=int, default=3,
+                   help="most keywords per concept (default 3)")
+    p.add_argument("--output", required=True,
+                   help="CSV to write: concept,rank,word,weight")
     p.set_defaults(func=cmd_keywords)
 
     p = sub.add_parser("export-graph", help="question-concept graph")
-    p.add_argument("--archive", required=True)
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
+    p.add_argument("--archive", required=True, help=_ARCHIVE_HELP)
+    p.add_argument("--format", choices=("dot", "json"), default="dot",
+                   help="Graphviz dot or JSON (default dot)")
     p.add_argument("--weight-floor", type=float, default=None,
                    help="default: 5%% of the mean positive association weight")
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=True, help="graph file to write")
     p.set_defaults(func=cmd_export_graph)
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset")
-    p.add_argument("--questions", type=int, required=True)
-    p.add_argument("--learners", type=int, required=True)
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("-k", "--num-concepts", type=int, required=True)
+    p.add_argument("--questions", type=int, required=True, help="number of questions")
+    p.add_argument("--learners", type=int, required=True, help="number of learners")
+    p.add_argument("--vocab", type=int, required=True, help="number of vocabulary words")
+    p.add_argument("-k", "--num-concepts", type=int, required=True,
+                   help="number of latent concepts K")
     p.add_argument("--sparsity", type=int, required=True,
                    help="nonzero associations per question")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--missing", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--tau", type=float, required=True,
+                   help="response precision the grades are drawn at")
+    p.add_argument("--missing", type=float, default=0.0,
+                   help="fraction of grades left unobserved (default 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for every random draw (default 0)")
+    p.add_argument("--out-prefix", required=True,
+                   help="writes PREFIX_responses.csv, PREFIX_corpus.jsonl and "
+                        "PREFIX_truth.json")
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -14,7 +14,8 @@ from .errors import (
     ValidationError,
 )
 from .estimator import fit
-from .model import _check_tau, bernoulli_nll, inverse_logit, observed_slacks
+from .model import (_check_tau, _entry_arrays, bernoulli_nll, inverse_logit,
+                    observed_slacks)
 
 __all__ = [
     "HoldoutSplit",
@@ -31,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HoldoutSplit:
-    """Disjoint entry-index lists partitioning the observed grades."""
+    """Disjoint sorted entry-index tuples partitioning the observed grades."""
 
     train_entries: tuple
     test_entries: tuple
@@ -73,45 +74,44 @@ def holdout_split(responses, fraction, seed):
         raise ValidationError(
             f"holdout fraction {fraction} of {total} observed grades holds out "
             "no entry; use a larger fraction")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(total)
-
+    order = np.random.default_rng(seed).permutation(total)
     test = order[:n_test]
-    if _coverage_ok(responses, test):
-        train = order[n_test:]
-        return HoldoutSplit(
-            tuple(sorted(int(k) for k in train)),
-            tuple(sorted(int(k) for k in test)),
-            float(fraction),
-            int(seed),
+    if not _coverage_ok(responses, test):
+        remaining_q = np.bincount(
+            responses.question_idx, minlength=responses.num_questions
         )
+        remaining_l = np.bincount(
+            responses.learner_idx, minlength=responses.num_learners
+        )
+        picked = []
+        for idx in order:
+            if len(picked) == n_test:
+                break
+            i = responses.question_idx[idx]
+            j = responses.learner_idx[idx]
+            if remaining_q[i] >= 2 and remaining_l[j] >= 2:
+                picked.append(idx)
+                remaining_q[i] -= 1
+                remaining_l[j] -= 1
+        if len(picked) < n_test:
+            raise InfeasibleSplitError(
+                f"could only hold out {len(picked)} of {n_test} entries without "
+                "starving a question or learner; try a smaller fraction"
+            )
+        test = np.array(picked)
+    keep = np.ones(total, dtype=bool)
+    keep[test] = False
+    return HoldoutSplit(tuple(np.flatnonzero(keep).tolist()),
+                        tuple(np.sort(test).tolist()), float(fraction), int(seed))
 
-    remaining_q = np.bincount(
-        responses.question_idx, minlength=responses.num_questions
-    )
-    remaining_l = np.bincount(
-        responses.learner_idx, minlength=responses.num_learners
-    )
-    picked = []
-    for idx in order:
-        if len(picked) == n_test:
-            break
-        i = responses.question_idx[idx]
-        j = responses.learner_idx[idx]
-        if remaining_q[i] >= 2 and remaining_l[j] >= 2:
-            picked.append(int(idx))
-            remaining_q[i] -= 1
-            remaining_l[j] -= 1
-    if len(picked) < n_test:
-        raise InfeasibleSplitError(
-            f"could only hold out {len(picked)} of {n_test} entries without "
-            "starving a question or learner; try a smaller fraction"
-        )
-    test_set = set(picked)
-    train = [k for k in range(total) if k not in test_set]
-    return HoldoutSplit(
-        tuple(train), tuple(sorted(picked)), float(fraction), int(seed)
-    )
+
+def _mean_likelihood(state, qi, lj, y, tau, log=False):
+    """Mean predicted likelihood of the grades y at index arrays qi and lj."""
+    z = observed_slacks(state, qi, lj)
+    if log:
+        return -float(np.mean(bernoulli_nll(y, z, tau)))
+    p = inverse_logit(tau * z)
+    return float(np.mean(np.where(y == 1, p, 1.0 - p)))
 
 
 def mean_predicted_likelihood(state, test_entries, tau, log=False):
@@ -121,34 +121,13 @@ def mean_predicted_likelihood(state, test_entries, tau, log=False):
     predicted correct-response probability. ``log=True`` switches to the
     mean log-likelihood, -bernoulli_nll, finite even where 1 - p underflows.
     Both raise ValidationError for a tau that is not finite and > 0, and for
-    entries that are not triples of integers with a grade of 0 or 1.
+    entries that are not triples of integers with a grade of 0 or 1 inside
+    the state's question x learner grid.
     """
     _check_tau(tau)
-    entries = list(test_entries)
-    if not entries:
-        raise ValidationError("test set is empty")
-    try:
-        arr = np.asarray(entries)
-    except ValueError:  # ragged
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValidationError("test entries must be (question, learner, grade) triples")
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() \
-            or (arr != np.floor(arr)).any():
-        raise ValidationError("test entries must be integers")
-    arr = arr.astype(np.int64)
-    qi, lj, y = arr[:, 0], arr[:, 1], arr[:, 2]
-    if ((y != 0) & (y != 1)).any():
-        raise ValidationError("test entry grade must be 0 or 1")
-    if qi.min() < 0 or qi.max() >= state.num_questions:
-        raise ValidationError("test entry question index out of range")
-    if lj.min() < 0 or lj.max() >= state.num_learners:
-        raise ValidationError("test entry learner index out of range")
-    z = observed_slacks(state, qi, lj)
-    if log:
-        return -float(np.mean(bernoulli_nll(y, z, tau)))
-    p = inverse_logit(tau * z)
-    return float(np.mean(np.where(y == 1, p, 1.0 - p)))
+    qi, lj, y = _entry_arrays(test_entries, state.num_questions, state.num_learners,
+                              "test entry")
+    return _mean_likelihood(state, qi, lj, y, tau, log)
 
 
 @dataclass(frozen=True)
@@ -161,11 +140,12 @@ class CvScore:
 
 
 def _make_folds(responses, folds_or_fraction, seed):
+    """(train, test) entry-index arrays of the holdout or of each fold."""
     if isinstance(folds_or_fraction, (bool, np.bool_)):
         raise ValidationError("folds_or_fraction must be a fraction or a fold count")
     if isinstance(folds_or_fraction, (float, np.floating)):
         split = holdout_split(responses, float(folds_or_fraction), seed)
-        return [(split.train_entries, responses.triples(split.test_entries))]
+        return [(np.array(split.train_entries), np.array(split.test_entries))]
     if isinstance(folds_or_fraction, (int, np.integer)):
         k = int(folds_or_fraction)
         total = responses.num_observed
@@ -181,7 +161,7 @@ def _make_folds(responses, folds_or_fraction, seed):
             keep = np.ones(total, dtype=bool)
             keep[test] = False
             train = np.nonzero(keep)[0]
-            folds.append((tuple(int(v) for v in train), responses.triples(test)))
+            folds.append((train, test))
         return folds
     raise ValidationError("folds_or_fraction must be a float fraction or an int >= 2")
 
@@ -191,13 +171,15 @@ def _score_point(job):
     responses, word_counts, params, config, folds = job
     scores = []
     converged = True
-    for train_idx, test_triples in folds:
+    for train_idx, test_idx in folds:
         try:
             state, report = fit(responses.subset(train_idx), word_counts, params, config)
         except DivergenceError:
             return None, False
         converged = converged and report.converged
-        scores.append(mean_predicted_likelihood(state, test_triples, params.tau))
+        scores.append(_mean_likelihood(
+            state, responses.question_idx[test_idx], responses.learner_idx[test_idx],
+            responses.grades[test_idx], params.tau))
     return float(np.mean(scores)), converged
 
 
@@ -247,11 +229,10 @@ def cross_validate(responses, word_counts, grid, config, folds_or_fraction=0.2,
 
 @dataclass(frozen=True)
 class ConceptSummary:
-    """Top keywords (and optionally questions) attached to one concept."""
+    """Top keywords attached to one concept."""
 
     concept_index: int
     keywords: tuple
-    questions: tuple = ()
 
 
 def top_keywords(state, vocabulary, k_words):
@@ -259,10 +240,12 @@ def top_keywords(state, vocabulary, k_words):
 
     Sorted by descending weight (ties by vocabulary order); zero-weight
     words are never listed, so a concept's list may be shorter than
-    k_words or empty.
+    k_words or empty. Raises ValidationError unless k_words is an integer
+    >= 1 (a bool is not one).
     """
-    if k_words < 1:
-        raise ValidationError("k_words must be >= 1")
+    if (isinstance(k_words, bool) or not isinstance(k_words, (int, np.integer))
+            or k_words < 1):
+        raise ValidationError(f"k_words must be an integer >= 1, got {k_words!r}")
     vocabulary = list(vocabulary)
     if len(vocabulary) != state.num_words:
         raise ValidationError("vocabulary length does not match the state")

@@ -82,22 +82,7 @@ class GradedResponseSet:
     def __init__(self, num_questions, num_learners, entries):
         if num_questions < 1 or num_learners < 1:
             raise ValidationError("num_questions and num_learners must be >= 1")
-        arr = np.asarray(entries)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValidationError("entries must be (question, learner, grade) triples")
-        if arr.shape[0] == 0:
-            raise ValidationError("at least one observed entry is required")
-        if not np.all(arr == np.floor(arr)):
-            raise ValidationError("entry indices and grades must be integers")
-        arr = arr.astype(np.int64)
-        qi, lj, y = arr[:, 0], arr[:, 1], arr[:, 2]
-        if qi.min() < 0 or qi.max() >= num_questions:
-            raise ValidationError("question index out of range")
-        if lj.min() < 0 or lj.max() >= num_learners:
-            raise ValidationError("learner index out of range")
-        bad = ~np.isin(y, (0, 1))
-        if bad.any():
-            raise ValidationError(f"grades must be 0 or 1, got {y[bad][0]}")
+        qi, lj, y = _entry_arrays(entries, num_questions, num_learners, "entry")
         cells = qi * num_learners + lj
         if np.unique(cells).size != cells.size:
             raise ValidationError("duplicate (question, learner) pair in entries")
@@ -114,23 +99,13 @@ class GradedResponseSet:
     def num_observed(self):
         return self.grades.size
 
-    @property
-    def entries(self):
-        """All observed entries as a list of (i, j, y) int tuples."""
-        return self.triples()
-
     def triples(self, indices=None):
-        """Observed entries, optionally restricted to the given entry indices."""
-        if indices is None:
-            sel = slice(None)
-        else:
-            sel = np.asarray(indices, dtype=np.int64)
-        return [
-            (int(i), int(j), int(y))
-            for i, j, y in zip(
-                self.question_idx[sel], self.learner_idx[sel], self.grades[sel]
-            )
-        ]
+        """Observed entries as (i, j, y) int tuples, optionally only the given ones."""
+        sel = slice(None) if indices is None else np.asarray(indices, dtype=np.int64)
+        return list(zip(self.question_idx[sel].tolist(), self.learner_idx[sel].tolist(),
+                        self.grades[sel].tolist()))
+
+    entries = property(triples, doc="All observed entries as a list of (i, j, y) int tuples.")
 
     def subset(self, indices):
         """New response set over the same grid keeping only the given entries."""
@@ -139,6 +114,34 @@ class GradedResponseSet:
             [self.question_idx[sel], self.learner_idx[sel], self.grades[sel]], axis=1
         )
         return GradedResponseSet(self.num_questions, self.num_learners, stacked)
+
+
+def _entry_arrays(entries, num_questions, num_learners, label):
+    """Checked question, learner and grade int64 arrays of (i, j, y) triples.
+
+    The one check of entry triples; ``label`` names an entry in its messages.
+    Integral floats pass, and every check runs before the cast to int64.
+    """
+    try:
+        arr = np.asarray(entries if isinstance(entries, np.ndarray) else list(entries))
+    except ValueError:  # ragged
+        arr = None
+    if arr is not None and not arr.size:
+        raise ValidationError(f"at least one {label} is required")
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValidationError(f"{label} rows must be (question, learner, grade) triples")
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() \
+            or (arr != np.floor(arr)).any():
+        raise ValidationError(f"{label} indices and grades must be integers")
+    qi, lj, y = arr[:, 0], arr[:, 1], arr[:, 2]
+    bad = (y != 0) & (y != 1)
+    if bad.any():
+        raise ValidationError(f"{label} grade must be 0 or 1, got {y[bad][0]}")
+    for idx, size, axis in ((qi, num_questions, "question"), (lj, num_learners, "learner")):
+        if idx.min() < 0 or idx.max() >= size:
+            raise ValidationError(f"{label} {axis} index out of range [0, {size})")
+    arr = arr.astype(np.int64)
+    return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
 class WordCountMatrix:
@@ -432,20 +435,34 @@ def objective(responses, word_counts, state, params):
     return _bernoulli_sum(responses, state, params.tau) + pois + _penalties(state, params)
 
 
+def _checked_index(idx, size, axis):
+    """idx as an integer array, checked against [0, size)."""
+    arr = np.asarray(idx)
+    if arr.dtype.kind not in "iu":  # a bool, a float or a string is no index
+        raise ValidationError(f"{axis} index must be an integer, got {idx!r}")
+    outside = (arr < 0) | (arr >= size)
+    if outside.any():
+        raise ValidationError(
+            f"{axis} index {arr[outside].flat[0]} out of range [0, {size})")
+    return arr
+
+
 def predict_response_prob(state, i, j, tau):
     """Probability of a correct response by learner j on question i.
 
-    Raises ValidationError for an index out of range or a tau that is not
-    finite and > 0.
+    i and j are integer indices or index arrays of one shape: two scalars
+    give a float and arrays an array. A scalar pair takes the array path
+    through ``observed_slacks``, so a batch gives the bits of its pairs one
+    at a time. Raises ValidationError for an index that is not an integer
+    (a bool included) or is out of range, for index arrays of two shapes,
+    and for a tau that is not finite and > 0.
     """
     _check_tau(tau)
-    if not 0 <= i < state.num_questions:
+    qi = _checked_index(i, state.num_questions, "question")
+    lj = _checked_index(j, state.num_learners, "learner")
+    if qi.shape != lj.shape:
         raise ValidationError(
-            f"question index {i} out of range [0, {state.num_questions})"
-        )
-    if not 0 <= j < state.num_learners:
-        raise ValidationError(
-            f"learner index {j} out of range [0, {state.num_learners})"
-        )
-    z = float(state.W[i] @ state.C[:, j] + state.mu[i])
-    return inverse_logit(tau * z)
+            f"question and learner indices must have one shape, got {qi.shape} "
+            f"and {lj.shape}")
+    p = inverse_logit(tau * observed_slacks(state, qi.ravel(), lj.ravel()))
+    return float(p[0]) if qi.ndim == 0 else p.reshape(qi.shape)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conceptfit import load_archive
+from conceptfit import load_archive, predict_response_prob
 from conceptfit.cli import build_parser, main
 
 
@@ -221,6 +221,55 @@ def test_every_fit_option_has_help():
             assert helps[flag], (command, flag)
     assert "full-accuracy" in helps["--outer-tol"]
     assert "0.1x the last sweep's relative decrease" in helps["--inner-tol"]
+
+
+def test_every_option_of_every_subcommand_has_help():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    for command, sub in subparsers.items():
+        for action in sub._actions:
+            assert action.help, (command, action.option_strings)
+    evaluate = {a.dest: a.help for a in subparsers["evaluate"]._actions}
+    assert "must equal that fit's --seed" in evaluate["seed"]
+
+
+def test_predict_gives_the_bits_of_per_pair_predictions(sim_files, tmp_path):
+    model = tmp_path / "m.json"
+    assert run("fit", "--responses", sim_files["responses"], "--corpus",
+               sim_files["corpus"], *HYPER, "--max-outer", 5, "--output", model) == 0
+    archive = load_archive(model)
+    rng = np.random.default_rng(11)
+    qi = rng.integers(0, len(archive.question_ids), 2000)
+    lj = rng.integers(0, len(archive.learner_ids), 2000)
+    entries = tmp_path / "e.csv"
+    entries.write_text("question_id,learner_id\n" + "".join(
+        f"{archive.question_ids[i]},{archive.learner_ids[j]}\n" for i, j in zip(qi, lj)))
+    out = tmp_path / "p.csv"
+    assert run("predict", "--archive", model, "--entries", entries, "--output", out) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(q, s) for q, s, _ in rows] == [
+        (archive.question_ids[i], archive.learner_ids[j]) for i, j in zip(qi, lj)]
+    expected = [predict_response_prob(archive.state, int(i), int(j), archive.params.tau)
+                for i, j in zip(qi, lj)]
+    assert [float(p) for _, _, p in rows] == expected
+
+
+def test_an_unknown_id_names_the_first_pair_and_writes_nothing(sim_files, tmp_path,
+                                                                capsys):
+    model = tmp_path / "m.json"
+    assert run("fit", "--responses", sim_files["responses"], "--corpus",
+               sim_files["corpus"], *HYPER, "--max-outer", 2, "--output", model) == 0
+    entries = tmp_path / "e.csv"
+    entries.write_text("question_id,learner_id\nq0001,s0002\nq0002,nobody\n"
+                       "nothing,s0001\nnothing,nobody\n")
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert run("predict", "--archive", model, "--entries", entries, "--output", out) == 1
+    assert capsys.readouterr().err == "error: unknown learner_id 'nobody'\n"
+    entries.write_text("question_id,learner_id\nq0001,s0002\nnothing,nobody\n")
+    assert run("predict", "--archive", model, "--entries", entries, "--output", out) == 1
+    assert capsys.readouterr().err == "error: unknown question_id 'nothing'\n"
+    assert not out.exists()
 
 
 def test_an_infinite_tolerance_exits_with_one_error_line(sim_files, tmp_path, capsys):

@@ -311,6 +311,15 @@ class TestTopKeywords:
             assert permuted[k_new].keywords == base[k_old].keywords
 
 
+    @pytest.mark.parametrize("k_words", [1.5, True, np.True_, 0, -1])
+    def test_k_words_must_be_an_integer_of_at_least_one(self, k_words):
+        # 1.5 listed 3 keywords and True was taken for 1
+        S = FactorState(np.ones((2, 1)), np.zeros(2), np.ones((1, 2)), [[0.1, 0.9, 0.5]])
+        with pytest.raises(ValidationError, match="k_words must be an integer >= 1"):
+            top_keywords(S, ["a", "b", "c"], k_words)
+        assert len(top_keywords(S, ["a", "b", "c"], np.int64(2))[0].keywords) == 2
+
+
 class TestAssociationGraph:
     @pytest.mark.parametrize("floor", [math.nan, math.inf])
     def test_rejects_a_floor_that_is_not_finite(self, floor):

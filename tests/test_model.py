@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,12 +220,65 @@ class TestPredictResponseProb:
             predict_response_prob(S, 1, 0, 1.0)
         with pytest.raises(ValidationError):
             predict_response_prob(S, 0, 5, 1.0)
+        with pytest.raises(ValidationError, match="learner index 5 out of range"):
+            predict_response_prob(S, np.array([0, 0]), np.array([0, 5]), 1.0)
+
+    @pytest.mark.parametrize("bad", [0.5, True, np.True_, np.float64(0.0), "0"])
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    @pytest.mark.parametrize("axis", ["question", "learner"])
+    def test_an_index_that_is_not_an_integer_rejected(self, bad, form, axis):
+        # 0.5 raised IndexError and True a TypeError; an array of them was
+        # never accepted at all
+        S = FactorState([[1.0]], [0.0], [[1.0]], np.zeros((1, 1)))
+        bad, good = (bad, 0) if form == "scalar" else (np.array([bad]), np.array([0]))
+        i, j = (bad, good) if axis == "question" else (good, bad)
+        with pytest.raises(ValidationError, match=f"{axis} index must be an integer"):
+            predict_response_prob(S, i, j, 1.0)
+
+    def test_index_arrays_of_two_shapes_rejected(self):
+        S = FactorState([[1.0]], [0.0], [[1.0, 2.0]], np.zeros((1, 1)))
+        with pytest.raises(ValidationError, match="one shape"):
+            predict_response_prob(S, np.zeros(2, dtype=int), np.zeros(3, dtype=int), 1.0)
+
+    def test_arrays_give_an_array_with_the_bits_of_each_pair(self, rng):
+        Q, N, K = 7, 11, 3
+        S = FactorState(rng.uniform(0, 2, (Q, K)), rng.standard_normal(Q),
+                        rng.standard_normal((K, N)), np.zeros((K, 1)))
+        qi = rng.integers(0, Q, size=(40, 50))
+        lj = rng.integers(0, N, size=(40, 50))
+        got = predict_response_prob(S, qi, lj, 1.7)
+        assert isinstance(got, np.ndarray) and got.shape == (40, 50)
+        one = predict_response_prob(S, int(qi[0, 0]), np.int64(lj[0, 0]), 1.7)
+        assert type(one) is float
+        pairs = [predict_response_prob(S, i, j, 1.7) for i, j in zip(qi.flat, lj.flat)]
+        assert np.array_equal(got.ravel(), pairs)
+        naive = [1.0 / (1.0 + math.exp(-1.7 * (S.W[i] @ S.C[:, j] + S.mu[i])))
+                 for i, j in zip(qi.flat, lj.flat)]
+        assert np.allclose(pairs, naive, rtol=0, atol=1e-15)
 
 
 class TestDomainTypes:
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             GradedResponseSet(2, 2, [(0, 0, 1), (0, 0, 0)])
+
+    @pytest.mark.parametrize("entries, message", [
+        ([(0, 0, 1), (0, 1)], "triples"),
+        ([(0, 0, 1, 1)], "triples"),
+        ([("0", 0, 1)], "must be integers"),
+        ([(0, 0, math.inf)], "must be integers"),
+        ([(0, 0, math.nan)], "must be integers"),
+        ([(0, 0.5, 1)], "must be integers"),
+        ([(0, 0, 2)], "grade must be 0 or 1, got 2"),
+        ([(0, -1, 1)], "learner index out of range"),
+    ])
+    def test_entries_that_are_not_integer_triples_rejected(self, entries, message):
+        # a ragged list raised ValueError, a string TypeError, and inf was
+        # cast with a RuntimeWarning and reported as -9223372036854775808
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                GradedResponseSet(2, 2, entries)
 
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(ValidationError):
