@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError, ValidationError
-from .model import FactorState, FitReport, WordCountMatrix, objective
+from .errors import DimensionMismatchError, DivergenceError
+from .model import (FactorState, FitReport, WordCountMatrix, _check_count,
+                    _check_positive, objective)
 from .solvers import (
     FistaConfig,
     c_block_subproblem,
@@ -70,13 +71,9 @@ class FitConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.max_outer_iterations, int)
-                and self.max_outer_iterations >= 0):
-            raise ValidationError("max_outer_iterations must be an integer >= 0")
-        tol = self.outer_relative_tolerance
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValidationError(
-                f"outer_relative_tolerance must be finite and > 0, got {tol!r}")
+        _check_count("max_outer_iterations", self.max_outer_iterations, 0)
+        _check_positive("outer_relative_tolerance", self.outer_relative_tolerance)
+        _check_count("rng_seed", self.rng_seed, 0)
 
 
 def initialize(num_questions, num_learners, num_words, num_concepts, rng_seed):
@@ -84,10 +81,14 @@ def initialize(num_questions, num_learners, num_words, num_concepts, rng_seed):
 
     Draw order is W, C, T, so a grades-only fit (num_words=0) shares the W
     and C draws of a text fit with the same seed. Deterministic per seed.
+    Raises ValidationError unless the seed and num_words are integers >= 0
+    and the other counts integers >= 1.
     """
-    if min(num_questions, num_learners, num_concepts) < 1 or num_words < 0:
-        raise ValidationError("dimensions must be >= 1 (vocabulary may be empty)")
-    rng = np.random.default_rng(rng_seed)
+    for name, value in (("num_questions", num_questions), ("num_learners", num_learners),
+                        ("num_concepts", num_concepts)):
+        _check_count(name, value, 1)
+    _check_count("num_words", num_words, 0)
+    rng = np.random.default_rng(_check_count("rng_seed", rng_seed, 0))
     W = rng.random((num_questions, num_concepts))
     C = rng.standard_normal((num_concepts, num_learners))
     T = rng.random((num_concepts, num_words))

@@ -14,8 +14,8 @@ from .errors import (
     ValidationError,
 )
 from .estimator import fit
-from .model import (_check_tau, _entry_arrays, bernoulli_nll, inverse_logit,
-                    observed_slacks)
+from .model import (_check_count, _check_positive, _entry_arrays, bernoulli_nll,
+                    inverse_logit, observed_slacks)
 
 __all__ = [
     "HoldoutSplit",
@@ -57,12 +57,14 @@ def _coverage_ok(responses, test_idx):
 def holdout_split(responses, fraction, seed):
     """Deterministic uniform split of the observed entries.
 
-    The test side gets round(fraction * observed) entries. A plain uniform
-    draw is tried first; if it would leave some question or learner with no
-    training entry, a greedy pass over the same shuffled order skips
-    disqualifying picks instead. Raises ValidationError when that rounds to
-    no test entry at all, and InfeasibleSplitError when even the greedy pass
-    cannot reach the target size.
+    The test side gets round(fraction * observed) entries: a greedy pass over
+    a seeded shuffle of the entries takes each one whose question and learner
+    would still keep a training entry. Whenever the first round(fraction *
+    observed) entries of the shuffle leave every question and learner one,
+    the pass takes exactly those, a uniform draw. Raises ValidationError for
+    a seed that is not an integer >= 0 and when the fraction rounds to no
+    test entry at all, and InfeasibleSplitError when the pass cannot reach
+    the target size.
     """
     if not 0 < fraction < 1:
         raise ValidationError("fraction must be in (0, 1)")
@@ -74,31 +76,25 @@ def holdout_split(responses, fraction, seed):
         raise ValidationError(
             f"holdout fraction {fraction} of {total} observed grades holds out "
             "no entry; use a larger fraction")
-    order = np.random.default_rng(seed).permutation(total)
-    test = order[:n_test]
-    if not _coverage_ok(responses, test):
-        remaining_q = np.bincount(
-            responses.question_idx, minlength=responses.num_questions
+    order = np.random.default_rng(_check_count("seed", seed, 0)).permutation(total)
+    qi, lj = responses.question_idx, responses.learner_idx
+    # Python lists: the pass reads one entry at a time
+    remaining_q = np.bincount(qi, minlength=responses.num_questions).tolist()
+    remaining_l = np.bincount(lj, minlength=responses.num_learners).tolist()
+    picked = []
+    for idx, i, j in zip(order.tolist(), qi[order].tolist(), lj[order].tolist()):
+        if len(picked) == n_test:
+            break
+        if remaining_q[i] >= 2 and remaining_l[j] >= 2:
+            picked.append(idx)
+            remaining_q[i] -= 1
+            remaining_l[j] -= 1
+    if len(picked) < n_test:
+        raise InfeasibleSplitError(
+            f"could only hold out {len(picked)} of {n_test} entries without "
+            "starving a question or learner; try a smaller fraction"
         )
-        remaining_l = np.bincount(
-            responses.learner_idx, minlength=responses.num_learners
-        )
-        picked = []
-        for idx in order:
-            if len(picked) == n_test:
-                break
-            i = responses.question_idx[idx]
-            j = responses.learner_idx[idx]
-            if remaining_q[i] >= 2 and remaining_l[j] >= 2:
-                picked.append(idx)
-                remaining_q[i] -= 1
-                remaining_l[j] -= 1
-        if len(picked) < n_test:
-            raise InfeasibleSplitError(
-                f"could only hold out {len(picked)} of {n_test} entries without "
-                "starving a question or learner; try a smaller fraction"
-            )
-        test = np.array(picked)
+    test = np.array(picked)
     keep = np.ones(total, dtype=bool)
     keep[test] = False
     return HoldoutSplit(tuple(np.flatnonzero(keep).tolist()),
@@ -124,7 +120,7 @@ def mean_predicted_likelihood(state, test_entries, tau, log=False):
     entries that are not triples of integers with a grade of 0 or 1 inside
     the state's question x learner grid.
     """
-    _check_tau(tau)
+    _check_positive("tau", tau)
     qi, lj, y = _entry_arrays(test_entries, state.num_questions, state.num_learners,
                               "test entry")
     return _mean_likelihood(state, qi, lj, y, tau, log)
@@ -198,9 +194,7 @@ def cross_validate(responses, word_counts, grid, config, folds_or_fraction=0.2,
     holdout or any fold would leave a question or learner without a
     training entry.
     """
-    if (isinstance(n_threads, bool) or not isinstance(n_threads, (int, np.integer))
-            or n_threads < 1):
-        raise ValidationError(f"n_threads must be an integer >= 1, got {n_threads!r}")
+    _check_count("n_threads", n_threads, 1)
     grid = list(grid)
     if not grid:
         raise ValidationError("hyperparameter grid is empty")
@@ -243,9 +237,7 @@ def top_keywords(state, vocabulary, k_words):
     k_words or empty. Raises ValidationError unless k_words is an integer
     >= 1 (a bool is not one).
     """
-    if (isinstance(k_words, bool) or not isinstance(k_words, (int, np.integer))
-            or k_words < 1):
-        raise ValidationError(f"k_words must be an integer >= 1, got {k_words!r}")
+    _check_count("k_words", k_words, 1)
     vocabulary = list(vocabulary)
     if len(vocabulary) != state.num_words:
         raise ValidationError("vocabulary length does not match the state")

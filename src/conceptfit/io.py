@@ -24,7 +24,8 @@ from .model import (
     GradedResponseSet,
     HyperParams,
     WordCountMatrix,
-    _check_tau,
+    _check_count,
+    _check_positive,
     inverse_logit,
 )
 from .text import Corpus
@@ -88,7 +89,9 @@ def load_responses(path):
         entries.append((qi, lj, int(grade)))
     if not entries:
         raise DataFormatError("no data rows", path)
-    responses = GradedResponseSet(len(q_index), len(l_index), entries)
+    # an int64 array, whose dtype rules out a bool, spares the check a scan
+    responses = GradedResponseSet(len(q_index), len(l_index),
+                                  np.array(entries, dtype=np.int64))
     return LoadedResponses(responses, list(q_index), list(l_index))
 
 
@@ -407,18 +410,19 @@ def simulate(num_questions, num_learners, num_words, num_concepts, sparsity,
     normal; T entries are exponential(mean 0.5). Grades are Bernoulli
     through the tau-scaled logit and then a uniformly random
     round(missing_fraction * Q * N) subset is dropped; counts are Poisson
-    at the epsilon-floored rates. Deterministic per seed.
+    at the epsilon-floored rates. Deterministic per seed, which must be an
+    integer >= 0.
     """
-    if min(num_questions, num_learners, num_words, num_concepts) < 1:
-        raise ValidationError("all dimensions must be >= 1")
-    if not (isinstance(sparsity, int) and 1 <= sparsity):
-        raise ValidationError("sparsity must be an integer >= 1")
+    for name, value in (("num_questions", num_questions), ("num_learners", num_learners),
+                        ("num_words", num_words), ("num_concepts", num_concepts),
+                        ("sparsity", sparsity)):
+        _check_count(name, value, 1)
     if sparsity > num_concepts:
         raise ValidationError("sparsity cannot exceed the number of concepts")
     if not 0 <= missing_fraction < 1:
         raise ValidationError("missing_fraction must be in [0, 1)")
-    _check_tau(tau)
-    rng = np.random.default_rng(seed)
+    _check_positive("tau", tau)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     W = np.zeros((num_questions, num_concepts))
     for i in range(num_questions):
         support = rng.choice(num_concepts, size=sparsity, replace=False)

@@ -22,8 +22,7 @@ log-odds of the observed grade, so the value is softplus(-u) = log1p(e) -
 min(u, 0) with e = exp(-|u|), and the slope in z is -m * sigmoid(-u). One
 formula serves both grades, exp never sees a positive argument, and no term
 cancels another, where softplus(-tau * z) + (1 - y) * tau * z cancels two
-terms near |tau * z| for y = 0 and tau * z < 0. A pass costs a dozen array
-calls where that grade-complement form costs eighteen.
+terms near |tau * z| for y = 0 and tau * z < 0.
 
 The Poisson channel's slope enters the solvers as the ratio r = b / a, a
 the floored rate: the slope 1 - r multiplied into a factor is that factor's
@@ -64,6 +63,24 @@ __all__ = [
 ]
 
 
+def _check_count(name, value, least):
+    """value as an int if it is an integer >= least (a numpy one passes, a bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_positive(name, value):
+    """Reject a value that is a bool or is not a finite number > 0.
+
+    For tau: a negative tau flips every probability, zero or NaN gives 0.5,
+    and inf gives 0 or 1.
+    """
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _readonly(arr):
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
@@ -80,14 +97,12 @@ class GradedResponseSet:
     """
 
     def __init__(self, num_questions, num_learners, entries):
-        if num_questions < 1 or num_learners < 1:
-            raise ValidationError("num_questions and num_learners must be >= 1")
-        qi, lj, y = _entry_arrays(entries, num_questions, num_learners, "entry")
-        cells = qi * num_learners + lj
+        self.num_questions = _check_count("num_questions", num_questions, 1)
+        self.num_learners = _check_count("num_learners", num_learners, 1)
+        qi, lj, y = _entry_arrays(entries, self.num_questions, self.num_learners, "entry")
+        cells = qi * self.num_learners + lj
         if np.unique(cells).size != cells.size:
             raise ValidationError("duplicate (question, learner) pair in entries")
-        self.num_questions = int(num_questions)
-        self.num_learners = int(num_learners)
         self.question_idx = qi
         self.learner_idx = lj
         self.grades = y
@@ -120,10 +135,15 @@ def _entry_arrays(entries, num_questions, num_learners, label):
     """Checked question, learner and grade int64 arrays of (i, j, y) triples.
 
     The one check of entry triples; ``label`` names an entry in its messages.
-    Integral floats pass, and every check runs before the cast to int64.
+    Integral floats pass, and every check runs before the cast to int64. A
+    bool is no integer; ``np.asarray`` would cast one among ints to 0 or 1,
+    so the values of a list are scanned for bools, while an array is taken
+    by its dtype.
     """
+    listed = not isinstance(entries, np.ndarray)
+    rows = list(entries) if listed else entries
     try:
-        arr = np.asarray(entries if isinstance(entries, np.ndarray) else list(entries))
+        arr = np.asarray(rows)
     except ValueError:  # ragged
         arr = None
     if arr is not None and not arr.size:
@@ -131,7 +151,8 @@ def _entry_arrays(entries, num_questions, num_learners, label):
     if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError(f"{label} rows must be (question, learner, grade) triples")
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() \
-            or (arr != np.floor(arr)).any():
+            or (arr != np.floor(arr)).any() or (listed and any(
+                isinstance(v, (bool, np.bool_)) for row in rows for v in row)):
         raise ValidationError(f"{label} indices and grades must be integers")
     qi, lj, y = arr[:, 0], arr[:, 1], arr[:, 2]
     bad = (y != 0) & (y != 1)
@@ -148,17 +169,16 @@ class WordCountMatrix:
     """Bag-of-words counts per question over an ordered vocabulary."""
 
     def __init__(self, num_questions, vocabulary, counts):
-        if num_questions < 1:
-            raise ValidationError("num_questions must be >= 1")
+        self.num_questions = _check_count("num_questions", num_questions, 1)
         vocab = tuple(vocabulary)
         if any(not isinstance(w, str) or not w for w in vocab):
             raise ValidationError("vocabulary words must be nonempty strings")
         if len(set(vocab)) != len(vocab):
             raise ValidationError("vocabulary words must be unique")
         arr = np.asarray(counts)
-        if arr.shape != (num_questions, len(vocab)):
+        if arr.shape != (self.num_questions, len(vocab)):
             raise DimensionMismatchError(
-                "counts", (num_questions, len(vocab)), arr.shape
+                "counts", (self.num_questions, len(vocab)), arr.shape
             )
         if arr.size and not np.all(arr == np.floor(arr)):
             raise ValidationError("counts must be integers")
@@ -166,7 +186,6 @@ class WordCountMatrix:
         if arr.size and arr.min() < 0:
             raise ValidationError("counts must be nonnegative")
         arr.setflags(write=False)
-        self.num_questions = int(num_questions)
         self.vocabulary = vocab
         self.counts = arr
 
@@ -242,11 +261,8 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("lam", "gamma", "eta", "tau", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
-        if not (isinstance(self.num_concepts, int) and self.num_concepts >= 1):
-            raise ValidationError("num_concepts must be an integer >= 1")
+            _check_positive(name, getattr(self, name))
+        _check_count("num_concepts", self.num_concepts, 1)
 
 
 @dataclass(frozen=True)
@@ -290,21 +306,8 @@ def inverse_logit(x):
     return np.where(arr >= 0, 1.0, e) / (1.0 + e)
 
 
-def _check_tau(tau):
-    """Reject a precision that is not finite and > 0.
-
-    A negative tau flips every probability, zero or NaN gives 0.5, and inf
-    gives 0 or 1.
-    """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValidationError(f"tau must be finite and > 0, got {tau!r}")
-
-
 def _signed_precision(y, tau):
-    """m = tau * (2y - 1): +tau for a correct grade, -tau for an incorrect one."""
-    y = np.asarray(y, dtype=float)
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise ValidationError("grades must be 0 or 1")
+    """m = tau * (2y - 1): +tau for a correct grade y = 1, -tau for y = 0."""
     return tau * (2.0 * y - 1.0)
 
 
@@ -337,7 +340,10 @@ def bernoulli_nll(y, z, tau):
     ``logaddexp`` runs a scalar one. Raises ValidationError unless every
     grade is 0 or 1 and tau is finite and > 0.
     """
-    _check_tau(tau)
+    _check_positive("tau", tau)
+    y = np.asarray(y, dtype=float)
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValidationError("grades must be 0 or 1")
     u, e = _bernoulli_margins(_signed_precision(y, tau), np.asarray(z, dtype=float))
     return _array_or_float(_bernoulli_terms(u, e))
 
@@ -457,7 +463,7 @@ def predict_response_prob(state, i, j, tau):
     (a bool included) or is out of range, for index arrays of two shapes,
     and for a tau that is not finite and > 0.
     """
-    _check_tau(tau)
+    _check_positive("tau", tau)
     qi = _checked_index(i, state.num_questions, "question")
     lj = _checked_index(j, state.num_learners, "learner")
     if qi.shape != lj.shape:

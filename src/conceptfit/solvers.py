@@ -40,18 +40,17 @@ Each FISTA iteration makes one fused pass at its momentum point y: handed
 a builder's ``Subproblem.value_and_gradient`` as its gradient callable,
 ``fista_minimize`` takes the per-row values and the gradient at y from that
 one call. Each candidate step then costs a value-only pass, and the start
-value of a solve is the first fused pass's. The builders store nothing
-between calls.
+value of a solve is the first fused pass's. The builders' only state is
+what the Bernoulli helper caches on first use: each observed cell's row or
+column, per shape of the slacks.
 
 At the benchmark's sizes numpy's per-call overhead, not the arithmetic,
 sets the cost of a pass, so the builders keep the number of array calls
 down. Each builder forms what does not change during a solve once:
 
-- the signed precision tau * (2y - 1) of the observed grades, so that a
-  fused Bernoulli pass makes a dozen calls on the observed cells where the
-  grade-complement form made eighteen; the question or learner of each
-  cell, which sums the terms per row with ``np.bincount``, is formed on
-  first use;
+- the signed precision tau * (2y - 1) of the observed grades; the question
+  or learner of each cell, which sums the terms per row with
+  ``np.bincount``, is formed on first use;
 - the Poisson column sums. The slope 1 - b / a summed against a factor is
   that factor's column sums minus its product with the ratio r = b / a:
   ``W.sum(0) - W.T @ r`` in the T block and ``T.sum(1) - r @ T.T`` in the
@@ -75,7 +74,8 @@ from .model import (
     _bernoulli_margins,
     _bernoulli_slopes,
     _bernoulli_terms,
-    _check_tau,
+    _check_count,
+    _check_positive,
     _floored_rate,
     _poisson_ratio,
     _poisson_terms,
@@ -117,12 +117,8 @@ class FistaConfig:
     relative_tolerance: float = 1e-7
 
     def __post_init__(self):
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
-            raise ValidationError("max_iterations must be an integer >= 1")
-        tol = self.relative_tolerance
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValidationError(
-                f"relative_tolerance must be finite and > 0, got {tol!r}")
+        _check_count("max_iterations", self.max_iterations, 1)
+        _check_positive("relative_tolerance", self.relative_tolerance)
 
 
 @dataclass(frozen=True)
@@ -279,10 +275,11 @@ def prox_w(x, threshold):
     Everything but the trailing (difficulty) slot is one-sided soft
     thresholded to max(0, v - threshold); the difficulty passes through
     untouched. Works on one row or a stack of rows, with one threshold or a
-    column of them, one per row.
+    column of them, one per row. Raises ValidationError for a threshold that
+    is not finite and >= 0.
     """
-    if np.less(threshold, 0.0).any():
-        raise ValidationError("threshold must be >= 0")
+    if not (np.isfinite(threshold) & np.greater_equal(threshold, 0.0)).all():
+        raise ValidationError(f"threshold must be finite and >= 0, got {threshold!r}")
     return _prox_w(x, threshold)
 
 
@@ -369,7 +366,7 @@ def _observed_bernoulli(cells, y, tau, axis):
     correct grade of weight y and an incorrect one of weight 1 - y on the
     same cell.
     """
-    _check_tau(tau)
+    _check_positive("tau", tau)
     cells, y = np.asarray(cells), np.asarray(y, dtype=float)
     if not ((y >= 0.0) & (y <= 1.0)).all():
         raise ValidationError("grades must lie in [0, 1]")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyVocabularyError, ValidationError
-from .model import WordCountMatrix
+from .model import WordCountMatrix, _check_count
 
 __all__ = [
     "Corpus",
@@ -119,8 +119,7 @@ def build_vocabulary(corpus, stop_words, min_count=1):
     Ordered by descending total count, ties broken lexicographically, so
     the result is deterministic.
     """
-    if min_count < 1:
-        raise ValidationError("min_count must be >= 1")
+    _check_count("min_count", min_count, 1)
     totals = Counter()
     for _, content in corpus.documents:
         totals.update(document_tokens(content))

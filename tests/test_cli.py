@@ -319,6 +319,34 @@ def test_cv_with_zero_threads_exits_with_one_error_line(sim_files, tmp_path, cap
     assert not table.exists()
 
 
+def test_a_negative_seed_exits_with_one_error_line(sim_files, tmp_path, capsys):
+    # fit-baseline and simulate used to print a numpy ValueError traceback
+    grid = tmp_path / "grid.csv"
+    grid.write_text("lambda,gamma,eta,tau,k\n0.1,0.2,0.2,2.0,2\n")
+    out = tmp_path / "out.json"
+    commands = [
+        ("fit", "--responses", sim_files["responses"], "--corpus", sim_files["corpus"],
+         *HYPER, "--output", out),
+        ("fit-baseline", "--responses", sim_files["responses"], "--lambda", "0.2",
+         "--gamma", "0.2", "--tau", "2.0", "-k", "2", "--output", out),
+        ("cv", "--responses", sim_files["responses"], "--corpus", sim_files["corpus"],
+         "--grid", grid, "--table", tmp_path / "scores.csv", "--output", out),
+        ("simulate", "--questions", 10, "--learners", 12, "--vocab", 8, "-k", 2,
+         "--sparsity", 1, "--tau", 2.0, "--out-prefix", tmp_path / "demo"),
+        ("evaluate", "--archive", sim_files["truth"], "--responses",
+         sim_files["responses"], "--tau", "2.0", "--holdout-fraction", "0.2"),
+    ]
+    for command in commands:
+        capsys.readouterr()
+        assert run(*command, "--seed", "-1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: "), command[0]
+        assert "seed must be an integer >= 0" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv"]
+
+
 def test_evaluate_tau_override_required_for_truth_archive(sim_files, capsys):
     code = run("evaluate", "--archive", sim_files["truth"],
                "--responses", sim_files["responses"])

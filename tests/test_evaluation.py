@@ -70,6 +70,24 @@ class TestHoldoutSplit:
             assert keep_q == set(range(5))
             assert keep_l == set(range(5))
 
+    def test_a_draw_that_keeps_everyone_covered_is_the_split(self):
+        # the greedy pass returns the first round(fraction * observed)
+        # entries of its shuffle whenever they strand no question or learner
+        sparse, _, _ = simulate(10, 12, 4, 2, sparsity=1, tau=1.0,
+                                missing_fraction=0.6, seed=3)
+        for Y in (grid_responses(6, 7), sparse):
+            drawn = 0
+            for seed in range(20):
+                n_test = round(0.3 * Y.num_observed)
+                first = np.random.default_rng(seed).permutation(Y.num_observed)[:n_test]
+                train = np.setdiff1d(np.arange(Y.num_observed), first)
+                if (set(Y.question_idx[train]) == set(Y.question_idx)
+                        and set(Y.learner_idx[train]) == set(Y.learner_idx)):
+                    split = holdout_split(Y, 0.3, seed)
+                    assert split.test_entries == tuple(sorted(first.tolist()))
+                    drawn += 1
+            assert drawn > 0
+
     def test_infeasible_raises(self):
         # one observation per question: nothing can be held out
         entries = [(i, i, 1) for i in range(4)]
@@ -158,11 +176,13 @@ class TestMeanPredictedLikelihood:
         ([(0, 0)], "triples"),
         ([(0, 0, 1, 1)], "triples"),
         ([(0, 0, 1), (0, 1)], "triples"),
+        ([(True, 0, 1)], "must be integers"),
+        ([(0, 0, 1), (0, 1, np.False_)], "must be integers"),
     ])
     @pytest.mark.parametrize("log", [False, True])
     def test_entries_it_cannot_score_are_rejected(self, entries, message, log):
-        # a grade of 2 or 0.7 was scored as an incorrect grade, and a question
-        # index of 0.9 was truncated to 0
+        # a grade of 2 or 0.7 was scored as an incorrect grade, a question
+        # index of 0.9 was truncated to 0, and one of True was scored as 1
         S = FactorState([[1.0]], [0.5], [[1.0, -1.0]], np.zeros((1, 1)))
         with pytest.raises(ValidationError, match=message):
             mean_predicted_likelihood(S, entries, tau=1.0, log=log)

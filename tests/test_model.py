@@ -271,10 +271,13 @@ class TestDomainTypes:
         ([(0, 0.5, 1)], "must be integers"),
         ([(0, 0, 2)], "grade must be 0 or 1, got 2"),
         ([(0, -1, 1)], "learner index out of range"),
+        ([(True, 0, 1)], "must be integers"),
+        ([(0, 0, 1), (1, 1, np.True_)], "must be integers"),
     ])
     def test_entries_that_are_not_integer_triples_rejected(self, entries, message):
         # a ragged list raised ValueError, a string TypeError, and inf was
-        # cast with a RuntimeWarning and reported as -9223372036854775808
+        # cast with a RuntimeWarning and reported as -9223372036854775808;
+        # a bool among ints was stored as 0 or 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=message):

@@ -85,6 +85,12 @@ class TestProxOperators:
         with pytest.raises(ValidationError):
             prox_w(np.zeros(3), -0.1)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, [[0.1], [math.nan]]])
+    def test_prox_w_threshold_that_is_not_finite_rejected(self, threshold):
+        # nan used to return nan weights
+        with pytest.raises(ValidationError, match="threshold must be finite and >= 0"):
+            prox_w(np.zeros((2, 3)), threshold)
+
     def test_prox_w_matches_grid_search(self, rng):
         # exact minimizer of thr*||w||_1 + 0.5*||w - x||^2 over w >= 0, K=2
         thr = 0.37
