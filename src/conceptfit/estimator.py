@@ -33,6 +33,13 @@ wait keeps the early, large steps from carrying a fit into another local
 minimum. Every block step ends at an objective no worse than where it
 started, and every sweep starts no higher than the last recorded objective,
 so the recorded trace is nonincreasing up to float evaluation noise.
+
+What the data fix is formed once per fit, before the first sweep: the
+block set-up of ``solvers._FitBlocks`` (the observed cells' signs and
+groups, the float counts and their floors) and the objective kernel of
+``model._objective_of``, the one ``objective`` evaluates. Each sweep then
+builds its three block subproblems from the current factors alone, and
+both die with the fit.
 """
 
 import math
@@ -43,14 +50,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError
 from .model import (FactorState, FitReport, WordCountMatrix, _check_count,
-                    _check_positive, objective)
-from .solvers import (
-    FistaConfig,
-    c_block_subproblem,
-    fista_minimize,
-    t_block_subproblem,
-    w_block_subproblem,
-)
+                    _check_positive, _objective_of)
+from .solvers import FistaConfig, _FitBlocks, fista_minimize
 
 __all__ = ["FitConfig", "initialize", "fit", "fit_responses_only"]
 
@@ -141,11 +142,13 @@ def fit_responses_only(responses, params, config=None):
 
 def _descend(responses, word_counts, state, params, config):
     start = time.perf_counter()
-    grades = (responses.cells, responses.grades.astype(float))
-    counts = word_counts.counts.astype(float)
+    # what the data fix, formed once for the whole fit
+    blocks = _FitBlocks((responses.cells, responses.grades.astype(float)),
+                        word_counts.counts, params.tau, params.epsilon)
+    objective = _objective_of(responses, word_counts, params)
     ones = np.ones((1, responses.num_learners))
 
-    previous = objective(responses, word_counts, state, params)
+    previous = objective(state)
     if not np.isfinite(previous):
         raise DivergenceError(
             "objective non-finite at initialization",
@@ -186,26 +189,22 @@ def _descend(responses, word_counts, state, params, config):
             )
             # keep the guess only if it does not rise; <= lets the first
             # step, where omega is 0, start the sequence
-            if objective(responses, word_counts, guess, params) <= previous:
+            if objective(guess) <= previous:
                 state, t = guess, t_next
             else:
                 t = 1.0
         before = last_state
 
-        sub = w_block_subproblem(
-            grades, np.vstack([state.C, ones]), counts, state.T,
-            params.tau, params.lam, params.epsilon,
-        )
+        sub = blocks.w(np.vstack([state.C, ones]), state.T, params.lam)
         w_aug = solve("W", sub, np.hstack([state.W, state.mu[:, None]]))
         W, mu = w_aug[:, :-1], w_aug[:, -1]
-        C = solve("C", c_block_subproblem(grades, W, mu, params.gamma, params.tau),
-                  state.C)
+        C = solve("C", blocks.c(W, mu, params.gamma), state.C)
         T = state.T
         if T.size:  # an empty vocabulary leaves no T block to solve
-            T = solve("T", t_block_subproblem(counts, W, params.eta, params.epsilon), T)
+            T = solve("T", blocks.t(W, params.eta), T)
 
         state = FactorState(W, mu, C, T)
-        current = objective(responses, word_counts, state, params)
+        current = objective(state)
         if not np.isfinite(current):
             raise DivergenceError(
                 f"non-finite objective after sweep {len(trace) + 1}",

@@ -284,22 +284,28 @@ def load_archive(path):
         state = FactorState(
             doc["W"], doc["mu"], doc["C"], np.asarray(doc["T"], dtype=float)
         )
-        params = None
-        if hyper is not None:
-            params = HyperParams(
-                lam=hyper["lambda"],
-                gamma=hyper["gamma"],
-                eta=hyper["eta"],
-                tau=hyper["tau"],
-                num_concepts=_typed(hyper["num_concepts"], int, "num_concepts", path),
-                epsilon=hyper["epsilon"],
+        try:
+            params = None
+            if hyper is not None:
+                params = HyperParams(
+                    lam=hyper["lambda"],
+                    gamma=hyper["gamma"],
+                    eta=hyper["eta"],
+                    tau=hyper["tau"],
+                    num_concepts=_typed(hyper["num_concepts"], int, "num_concepts", path),
+                    epsilon=hyper["epsilon"],
+                )
+            report = FitReport(
+                tuple(fr["objective_trace"]),
+                _typed(fr["converged"], bool, "converged", path),
+                _typed(fr["outer_iterations"], int, "outer_iterations", path),
+                0.0,
             )
-        report = FitReport(
-            tuple(fr["objective_trace"]),
-            _typed(fr["converged"], bool, "converged", path),
-            _typed(fr["outer_iterations"], int, "outer_iterations", path),
-            0.0,
-        )
+        except ValidationError as exc:
+            # a stored setting out of range, such as "lambda": 0 or true, is a
+            # malformed field; only the factors' feasibility check above
+            # stays a ValidationError
+            raise DataFormatError(f"malformed archive field: {exc}", path) from None
     except KeyError as exc:
         raise DataFormatError(f"archive is missing field {exc.args[0]!r}", path) from None
     except (TypeError, ValueError) as exc:

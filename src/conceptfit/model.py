@@ -13,8 +13,10 @@ of W during optimization but is neither penalized nor sign-constrained.
 Each channel's formulas are written once, in the private helpers below.
 The block builders in ``solvers`` call those helpers directly, so that one
 pass gives a point's per-row values and its slopes from shared
-intermediates; ``bernoulli_nll`` and ``poisson_nll`` serve the objective
-and held-out scoring.
+intermediates. ``objective`` calls them too, through ``_objective_of``, the
+kernel a fit forms once and evaluates after every sweep.
+``bernoulli_nll`` and ``poisson_nll`` are the public per-cell kernels, for
+held-out scoring and callers outside the fit.
 
 The Bernoulli channel works on signed margins. With the signed precision
 m = tau * (2y - 1), formed once per grade set, the margin u = m * z is the
@@ -72,12 +74,16 @@ def _check_count(name, value, least):
 
 
 def _check_positive(name, value):
-    """Reject a value that is a bool or is not a finite number > 0.
+    """Reject a bool, and any value that is not a finite number > 0, such as a string.
 
     For tau: a negative tau flips every probability, zero or NaN gives 0.5,
     and inf gives 0 or 1.
     """
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and value > 0
+    except TypeError:  # a string, None, or anything else that is no number
+        ok = False
+    if not ok:
         raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -278,6 +284,8 @@ class FitReport:
         object.__setattr__(
             self, "objective_trace", tuple(float(v) for v in self.objective_trace)
         )
+        object.__setattr__(self, "outer_iterations",
+                           _check_count("outer_iterations", self.outer_iterations, 0))
         if len(self.objective_trace) != self.outer_iterations:
             raise ValidationError("objective_trace must have one value per iteration")
         if self.wall_time < 0:
@@ -413,17 +421,32 @@ def observed_slacks(state, question_idx, learner_idx):
     )
 
 
-def _bernoulli_sum(responses, state, tau):
-    z = observed_slacks(state, responses.question_idx, responses.learner_idx)
-    return float(np.sum(bernoulli_nll(responses.grades, z, tau)))
+def _objective_of(responses, word_counts, params):
+    """The full objective as a function of the state, for one data set and params.
 
+    What the data fix is formed once: the signed precision of the grades
+    and the float counts. Each call then takes the slacks of the observed
+    cells from ``(W @ C).take(cells)``, sums with ``np.add.reduce`` and
+    checks nothing, so a fit forms it once and calls it after every sweep.
+    The caller checks the state's dimensions against the data.
+    """
+    cells, question_idx = responses.cells, responses.question_idx
+    m = _signed_precision(responses.grades, params.tau)
+    counts = word_counts.counts.astype(float)
+    lam, half_gamma, half_eta = params.lam, 0.5 * params.gamma, 0.5 * params.eta
+    epsilon = params.epsilon
+    add = np.add.reduce
 
-def _penalties(state, params):
-    return (
-        params.lam * float(np.sum(np.abs(state.W)))
-        + 0.5 * params.gamma * float(np.sum(state.C**2))
-        + 0.5 * params.eta * float(np.sum(state.T**2))
-    )
+    def value(state):
+        W, C, T = state.W, state.C, state.T
+        z = (W @ C).take(cells) + state.mu.take(question_idx)
+        bern = add(_bernoulli_terms(*_bernoulli_margins(m, z)))
+        pois = add(_poisson_terms(counts, _floored_rate(W @ T, epsilon)), None)
+        penalties = (lam * add(np.abs(W), None) + half_gamma * add(C * C, None)
+                     + half_eta * add(T * T, None))
+        return float(bern + pois + penalties)
+
+    return value
 
 
 def objective(responses, word_counts, state, params):
@@ -433,12 +456,11 @@ def objective(responses, word_counts, state, params):
     question/word cell + l1 on W + ridge on C and T. Unobserved grades are
     skipped entirely, never imputed. mu contributes to the slacks but not
     to the l1 term. Over a vocabulary of zero words (a K x 0 T) the Poisson
-    and T terms are zero and this is the grades-only objective.
+    and T terms are zero and this is the grades-only objective. The value
+    is ``_objective_of``'s, bit for bit what a fit records for the state.
     """
     _check_dims(responses, word_counts, state, params)
-    pois = float(np.sum(poisson_nll(word_counts.counts, state.W @ state.T,
-                                    params.epsilon)))
-    return _bernoulli_sum(responses, state, params.tau) + pois + _penalties(state, params)
+    return _objective_of(responses, word_counts, params)(state)
 
 
 def _checked_index(idx, size, axis):

@@ -40,23 +40,32 @@ Each FISTA iteration makes one fused pass at its momentum point y: handed
 a builder's ``Subproblem.value_and_gradient`` as its gradient callable,
 ``fista_minimize`` takes the per-row values and the gradient at y from that
 one call. Each candidate step then costs a value-only pass, and the start
-value of a solve is the first fused pass's. The builders' only state is
-what the Bernoulli helper caches on first use: each observed cell's row or
-column, per shape of the slacks.
+value of a solve is the first fused pass's.
 
 At the benchmark's sizes numpy's per-call overhead, not the arithmetic,
 sets the cost of a pass, so the builders keep the number of array calls
-down. Each builder forms what does not change during a solve once:
+down. What a fit's data fix is formed once per fit, by ``_FitBlocks``,
+which a fit keeps for all its sweeps and each public builder forms for its
+one block:
 
-- the signed precision tau * (2y - 1) of the observed grades; the question
-  or learner of each cell, which sums the terms per row with
-  ``np.bincount``, is formed on first use;
+- the signed precision tau * (2y - 1) of the observed grades, and the
+  question or learner of each cell, which sums the terms per row with
+  ``np.bincount``; the latter is formed on first use per shape of the
+  slacks;
+- the counts as floats and their scored floors.
+
+What depends on the factors is formed once per block, that is once per
+sweep of a fit:
+
 - the Poisson column sums. The slope 1 - b / a summed against a factor is
   that factor's column sums minus its product with the ratio r = b / a:
   ``W.sum(0) - W.T @ r`` in the T block and ``T.sum(1) - r @ T.T`` in the
   W block;
 - the vectors whose products sum a grid per row: ones for the Poisson
   terms, the l1 weights and the halved ridge weights.
+
+The builders' only state is that set-up. It lives as long as the fit or
+builder call that formed it, and no two fits share one.
 
 The per-row ``grad_*`` and ``*_subproblem`` functions are one-row views of
 the same block builders: a 1-D [w_i | mu_i] row or knowledge column with
@@ -65,6 +74,7 @@ all its slacks observed, and a 1-D word column of T.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -403,6 +413,130 @@ def _observed_bernoulli(cells, y, tau, axis):
     return value, value_and_slope
 
 
+class _FitBlocks:
+    """The three block subproblems over one fit's data, set up once.
+
+    ``grades = (cells, y)`` and the Q x V ``counts`` are the fit's data.
+    What they fix is formed on first use and kept: each axis's Bernoulli
+    helper, with the question or learner of each cell it groups by, and
+    the float counts with their scored floors. ``w``, ``c`` and ``t`` then
+    build a sweep's subproblems from the factors alone. A fit forms one and
+    drops it when it ends; no two fits share one. A public builder forms
+    one for its one block, so it forms only what that block uses and passes
+    None for the rest.
+    """
+
+    def __init__(self, grades, counts, tau, epsilon):
+        self._grades, self._raw_counts = grades, counts
+        self._tau, self._epsilon = tau, epsilon
+
+    @cached_property
+    def _by_question(self):
+        return _observed_bernoulli(*self._grades, self._tau, axis=1)
+
+    @cached_property
+    def _by_learner(self):
+        return _observed_bernoulli(*self._grades, self._tau, axis=0)
+
+    @cached_property
+    def _counts(self):
+        counts = np.asarray(self._raw_counts, dtype=float)
+        return counts, _scored_floors(counts, self._epsilon)
+
+    def w(self, c_aug, T, lam):
+        """The [W | mu] block at knowledge ``c_aug`` and profiles ``T``."""
+        bern_value, bern_value_and_slope = self._by_question
+        counts, floors = self._counts
+        epsilon = self._epsilon
+        # The count term over zero words is exactly 0, but the kernel calls on
+        # empty arrays still cost time in every evaluation, so skip them.
+        has_words = T.shape[1] > 0
+        row_sums = T.sum(axis=1)  # the slope's constant part, ones @ T.T
+        ones = np.ones((T.shape[1], 1))  # sums the count terms per row
+
+        def poisson(raw):
+            return _poisson_terms(counts, _floored_rate(raw, floors)) @ ones
+
+        def value(X):
+            bern = bern_value(X @ c_aug)
+            if not has_words:
+                return bern
+            return bern + poisson(X[..., :-1] @ T)
+
+        def value_and_gradient(X):
+            bern, S = bern_value_and_slope(X @ c_aug)
+            g = S @ c_aug.T
+            if not has_words:
+                return bern, g
+            raw = X[..., :-1] @ T
+            r = _poisson_ratio(counts, _floored_rate(raw, epsilon))
+            g[..., :-1] += row_sums - r @ T.T
+            return bern + poisson(raw), g
+
+        def prox(point, step):
+            return _prox_w(point, step * lam)
+
+        # lam for each weight and 0 for the difficulty: |X| @ l1 is the l1 term per row
+        l1 = np.append(np.full(T.shape[0], lam), 0.0)[:, None]
+
+        def penalty(X):
+            return np.abs(X) @ l1
+
+        return _subproblem(value_and_gradient, value, prox, penalty)
+
+    def c(self, W, mu, gamma):
+        """The knowledge block at associations ``W`` and difficulties ``mu``."""
+        bern_value, bern_value_and_slope = self._by_learner
+        half_gamma = np.full((1, W.shape[1]), 0.5 * gamma)
+
+        def slacks(C):
+            return ((W @ C).T + mu).T
+
+        def ridge(C):
+            return half_gamma @ (C * C)
+
+        def value(C):
+            return bern_value(slacks(C)) + ridge(C)
+
+        def value_and_gradient(C):
+            bern, S = bern_value_and_slope(slacks(C))
+            return bern + ridge(C), W.T @ S + gamma * C
+
+        def prox(point, step):
+            return point
+
+        return _subproblem(value_and_gradient, value, prox)
+
+    def t(self, W, eta):
+        """The word-profile block at associations ``W``."""
+        counts, floors = self._counts
+        epsilon = self._epsilon
+        half_eta = np.full((1, W.shape[1]), 0.5 * eta)
+        ones = np.ones((1, W.shape[0]))  # sums the count terms per column
+        # the slope's constant part, W.T @ ones: one column of K sums, broadcast
+        # over the word columns of a block
+        col_sums = W.sum(axis=0)
+        if counts.ndim == 2:
+            col_sums = col_sums[:, None]
+
+        def value_at(raw, T):
+            a = _floored_rate(raw, floors)
+            return ones @ _poisson_terms(counts, a) + half_eta @ (T * T)
+
+        def value(T):
+            return value_at(W @ T, T)
+
+        def value_and_gradient(T):
+            raw = W @ T
+            r = _poisson_ratio(counts, _floored_rate(raw, epsilon))
+            return value_at(raw, T), col_sums - W.T @ r + eta * T
+
+        def prox(point, step):
+            return prox_nonneg(point)
+
+        return _subproblem(value_and_gradient, value, prox)
+
+
 def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
     """Stacked [W | mu] problem covering every question at once.
 
@@ -413,44 +547,7 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
     row. Values come per row, Q x 1: the grades by question, the counts'
     row sums and the l1 term of each row.
     """
-    bern_value, bern_value_and_slope = _observed_bernoulli(*grades, tau, axis=1)
-    counts = np.asarray(counts, dtype=float)
-    # The count term over zero words is exactly 0, but the kernel calls on
-    # empty arrays still cost time in every evaluation, so skip them.
-    has_words = T.shape[1] > 0
-    row_sums = T.sum(axis=1)  # the slope's constant part, ones @ T.T
-    ones = np.ones((T.shape[1], 1))  # sums the count terms per row
-    floors = _scored_floors(counts, epsilon)
-
-    def poisson(raw):
-        return _poisson_terms(counts, _floored_rate(raw, floors)) @ ones
-
-    def value(X):
-        bern = bern_value(X @ c_aug)
-        if not has_words:
-            return bern
-        return bern + poisson(X[..., :-1] @ T)
-
-    def value_and_gradient(X):
-        bern, S = bern_value_and_slope(X @ c_aug)
-        g = S @ c_aug.T
-        if not has_words:
-            return bern, g
-        raw = X[..., :-1] @ T
-        r = _poisson_ratio(counts, _floored_rate(raw, epsilon))
-        g[..., :-1] += row_sums - r @ T.T
-        return bern + poisson(raw), g
-
-    def prox(point, step):
-        return _prox_w(point, step * lam)
-
-    # lam for each weight and 0 for the difficulty: |X| @ l1 is the l1 term per row
-    l1 = np.append(np.full(T.shape[0], lam), 0.0)[:, None]
-
-    def penalty(X):
-        return np.abs(X) @ l1
-
-    return _subproblem(value_and_gradient, value, prox, penalty)
+    return _FitBlocks(grades, counts, tau, epsilon).w(c_aug, T, lam)
 
 
 def c_block_subproblem(grades, W, mu, gamma, tau):
@@ -458,26 +555,7 @@ def c_block_subproblem(grades, W, mu, gamma, tau):
 
     Values come per column, 1 x N: the grades by learner plus the ridge.
     """
-    bern_value, bern_value_and_slope = _observed_bernoulli(*grades, tau, axis=0)
-    half_gamma = np.full((1, W.shape[1]), 0.5 * gamma)
-
-    def slacks(C):
-        return ((W @ C).T + mu).T
-
-    def ridge(C):
-        return half_gamma @ (C * C)
-
-    def value(C):
-        return bern_value(slacks(C)) + ridge(C)
-
-    def value_and_gradient(C):
-        bern, S = bern_value_and_slope(slacks(C))
-        return bern + ridge(C), W.T @ S + gamma * C
-
-    def prox(point, step):
-        return point
-
-    return _subproblem(value_and_gradient, value, prox)
+    return _FitBlocks(grades, None, tau, None).c(W, mu, gamma)
 
 
 def t_block_subproblem(counts, W, eta, epsilon=1e-6):
@@ -485,29 +563,4 @@ def t_block_subproblem(counts, W, eta, epsilon=1e-6):
 
     Values come per column, 1 x V: the Poisson value plus the ridge.
     """
-    counts = np.asarray(counts, dtype=float)
-    half_eta = np.full((1, W.shape[1]), 0.5 * eta)
-    ones = np.ones((1, W.shape[0]))  # sums the count terms per column
-    # the slope's constant part, W.T @ ones: one column of K sums, broadcast
-    # over the word columns of a block
-    col_sums = W.sum(axis=0)
-    if counts.ndim == 2:
-        col_sums = col_sums[:, None]
-    floors = _scored_floors(counts, epsilon)
-
-    def value_at(raw, T):
-        a = _floored_rate(raw, floors)
-        return ones @ _poisson_terms(counts, a) + half_eta @ (T * T)
-
-    def value(T):
-        return value_at(W @ T, T)
-
-    def value_and_gradient(T):
-        raw = W @ T
-        r = _poisson_ratio(counts, _floored_rate(raw, epsilon))
-        return value_at(raw, T), col_sums - W.T @ r + eta * T
-
-    def prox(point, step):
-        return prox_nonneg(point)
-
-    return _subproblem(value_and_gradient, value, prox)
+    return _FitBlocks(None, counts, None, epsilon).t(W, eta)

@@ -15,6 +15,7 @@ from conceptfit import (
     FactorState,
     FistaConfig,
     FitConfig,
+    FitReport,
     GradedResponseSet,
     HyperParams,
     StopWordList,
@@ -81,6 +82,8 @@ SITES = [
     ("simulate", "sparsity", "count",
      lambda v: simulate(6, 5, 4, 2, v, 1.0), np.int64(2)),
     ("cross_validate", "n_threads", "count", cv_threads, np.int64(1)),
+    ("FitReport", "outer_iterations", "count",
+     lambda v: FitReport((), False, v, 0.0), np.int64(0)),
     ("top_keywords", "k_words", "count",
      lambda v: top_keywords(STATE, ["a", "b"], v), np.int64(1)),
     ("build_vocabulary", "min_count", "count",
@@ -116,7 +119,7 @@ SITES = [
 REJECTED = {
     "count": (True, 2.5),
     "seed": (-1, True),
-    "positive": (0, math.nan, math.inf, True),
+    "positive": (0, math.nan, math.inf, True, "0.3", None),
 }
 
 
@@ -130,7 +133,9 @@ def site_id(site):
 ])
 def test_a_value_outside_its_kind_is_rejected(name, kind, call, value):
     # True ran one sweep as max_outer_iterations, 2.5 made a 2-question
-    # response set, and a seed of -1 escaped from numpy as a ValueError
+    # response set, a seed of -1 escaped from numpy as a ValueError, True
+    # was stored as a FitReport's outer_iterations, and a string or None
+    # for a positive number escaped from math.isfinite as a TypeError
     message = (f"^{name} must be finite and > 0, got" if kind == "positive"
                else f"^{name} must be an integer >= {0 if kind == 'seed' else ''}")
     with pytest.raises(ValidationError, match=message):

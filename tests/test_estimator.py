@@ -302,3 +302,41 @@ class TestConfigValidation:
         with pytest.raises(ValidationError,
                            match="outer_relative_tolerance must be finite and > 0"):
             FitConfig(outer_relative_tolerance=tol)
+
+
+def fit_with_or_without_words(words, sweeps):
+    Y, B, params = small_problem()
+    if not words:
+        B = WordCountMatrix(Y.num_questions, (), np.zeros((Y.num_questions, 0)))
+    config = FitConfig(max_outer_iterations=sweeps, outer_relative_tolerance=1e-12)
+    state, report = fit(Y, B, params, config)
+    return Y, B, params, state, report
+
+
+class TestSetUpOncePerFit:
+    """A fit forms its block set-up and its objective kernel once, before its sweeps."""
+
+    @pytest.mark.parametrize("words", [True, False])
+    @pytest.mark.parametrize("sweeps", [1, 4])
+    def test_the_block_set_up_is_formed_once_whatever_the_sweep_count(
+            self, monkeypatch, words, sweeps):
+        # the builders formed both per block solve: two Bernoulli set-ups and
+        # one or two sets of floors in every sweep
+        import conceptfit.solvers as solvers
+
+        calls = {"_observed_bernoulli": 0, "_scored_floors": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(solvers, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(solvers, name, counted)
+        _, _, _, _, report = fit_with_or_without_words(words, sweeps)
+        assert report.outer_iterations == sweeps
+        assert calls == {"_observed_bernoulli": 2, "_scored_floors": 1}
+
+    @pytest.mark.parametrize("words", [True, False])
+    @pytest.mark.parametrize("sweeps", [1, 2, 3, 4])
+    def test_objective_is_bitwise_the_last_recorded_value(self, words, sweeps):
+        Y, B, params, state, report = fit_with_or_without_words(words, sweeps)
+        assert report.outer_iterations == sweeps
+        assert objective(Y, B, state, params) == report.objective_trace[-1]

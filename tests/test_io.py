@@ -242,6 +242,11 @@ class TestArchive:
         pytest.param(lambda doc: doc["fit_report"].pop("converged"), id="no-converged"),
         pytest.param(lambda doc: doc["W"][1].pop(), id="ragged-W"),
         pytest.param(lambda doc: doc["hyperparameters"].update(tau="two"), id="tau-string"),
+        # HyperParams' ValidationError escaped without the archive's path
+        pytest.param(lambda doc: doc["hyperparameters"].update({"lambda": 0}),
+                     id="lambda-zero"),
+        pytest.param(lambda doc: doc["hyperparameters"].update({"lambda": True}),
+                     id="lambda-true"),
     ])
     def test_malformed_archive_is_a_data_format_error(self, tmp_path, rng, edit):
         path = tmp_path / "a.json"

@@ -24,6 +24,7 @@ from conceptfit import (
 )
 from conceptfit.solvers import (
     _STEP_FLOOR,
+    _FitBlocks,
     c_block_subproblem,
     t_block_subproblem,
     w_block_subproblem,
@@ -611,6 +612,35 @@ class TestOnePassPerPoint:
             assert fused.iterations_used == plain.iterations_used > 1, name
             assert calls.count("gradient") == fused.iterations_used, name
             assert calls.count("value") == calls.count("prox"), name
+
+
+def test_one_set_up_builds_every_sweep_bitwise_as_the_public_builders(rng):
+    # a fit forms one _FitBlocks and builds each sweep's blocks from it, so the
+    # groups and floors it keeps must give what fresh builders give
+    from conceptfit import GradedResponseSet
+
+    Q, N, V, K = 6, 7, 5, 2
+    W, mu, C, T, entries, counts = random_instance(rng, Q, N, V, K)
+    Y = GradedResponseSet(Q, N, entries)
+    grades = (Y.cells, Y.grades.astype(float))
+    tau, lam, gamma, eta, epsilon = 1.4, 0.2, 0.4, 0.3, 1e-6
+    blocks = _FitBlocks(grades, counts, tau, epsilon)
+    for _ in range(3):
+        W, T = W * rng.uniform(0.5, 1.5, W.shape), T * rng.uniform(0.5, 1.5, T.shape)
+        mu, C = mu + rng.normal(size=Q), C + rng.normal(size=C.shape)
+        c_aug = np.vstack([C, np.ones((1, N))])
+        X = np.hstack([W, mu[:, None]])
+        pairs = [
+            (blocks.w(c_aug, T, lam),
+             w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon), X),
+            (blocks.c(W, mu, gamma), c_block_subproblem(grades, W, mu, gamma, tau), C),
+            (blocks.t(W, eta), t_block_subproblem(counts, W, eta, epsilon), T),
+        ]
+        for ours, public, x in pairs:
+            values, gradient = ours.value_and_gradient(x)
+            want_values, want_gradient = public.value_and_gradient(x)
+            assert same_bits(values, want_values) and same_bits(gradient, want_gradient)
+            assert same_bits(ours.rows[0](x), public.rows[0](x))
 
 
 def first_iteration_steps(build, x, cfg, initial_step=None):
