@@ -68,30 +68,48 @@ def load_responses(path):
 
     Ids map to dense indices in first-appearance order; pairs absent from
     the file are unobserved. Malformed rows, duplicate pairs, and grades
-    outside {0, 1} are rejected with line numbers.
+    outside {0, 1} are rejected with line numbers. The file is read in one
+    pass and checked a column at a time; an error names the first faulty
+    row in file order, whatever its fault.
     """
     path = Path(path)
-    q_index, l_index = {}, {}
-    seen = {}
-    entries = []
-    for line, (qid, lid, grade) in _read_csv(path, _exact_header(_RESPONSES_HEADER)):
-        if not qid or not lid:
-            raise DataFormatError("empty question or learner id", path, (line,))
-        if grade not in ("0", "1"):
-            raise DataFormatError(f"grade must be 0 or 1, got {grade!r}", path, (line,))
-        qi = q_index.setdefault(qid, len(q_index))
-        lj = l_index.setdefault(lid, len(l_index))
-        if (qi, lj) in seen:
-            raise DataFormatError(
-                f"duplicate pair ({qid}, {lid})", path, (seen[(qi, lj)], line)
-            )
-        seen[(qi, lj)] = line
-        entries.append((qi, lj, int(grade)))
-    if not entries:
+    loaded = _read_csv(path, _exact_header(_RESPONSES_HEADER),
+                       lambda lines, columns: _response_columns(path, lines, columns))
+    if loaded is None:
         raise DataFormatError("no data rows", path)
+    return loaded
+
+
+def _response_columns(path, lines, columns):
+    """``load_responses``'s checks and indexing, over whole columns."""
+    qids, lids, grades = columns
+    q_index = {qid: i for i, qid in enumerate(dict.fromkeys(qids))}
+    l_index = {lid: j for j, lid in enumerate(dict.fromkeys(lids))}
+    qi = np.fromiter(map(q_index.__getitem__, qids), np.int64, len(qids))
+    lj = np.fromiter(map(l_index.__getitem__, lids), np.int64, len(lids))
+    pairs = qi * len(l_index) + lj
+    _, first = np.unique(pairs, return_index=True)
+    # each kind's first faulty row as (row, rank, message, rows to name); the
+    # least is the file's first fault, a row with two taking the lower rank
+    faults = []
+    r = _first_empty(qids, lids)
+    if r is not None:
+        faults.append((r, 0, "empty question or learner id", (r,)))
+    if not set(grades) <= {"0", "1"}:
+        r = next(r for r, grade in enumerate(grades) if grade not in ("0", "1"))
+        faults.append((r, 1, f"grade must be 0 or 1, got {grades[r]!r}", (r,)))
+    if len(first) < len(pairs):
+        seen_before = np.ones(len(pairs), dtype=bool)
+        seen_before[first] = False
+        r = int(np.argmax(seen_before))
+        earlier = int(np.argmax(pairs == pairs[r]))
+        faults.append((r, 2, f"duplicate pair ({qids[r]}, {lids[r]})", (earlier, r)))
+    if faults:
+        _, _, message, at = min(faults)
+        raise DataFormatError(message, path, tuple(lines[k] for k in at))
+    entries = np.stack([qi, lj, np.array(grades) == "1"], axis=1)
     # an int64 array, whose dtype rules out a bool, spares the check a scan
-    responses = GradedResponseSet(len(q_index), len(l_index),
-                                  np.array(entries, dtype=np.int64))
+    responses = GradedResponseSet(len(q_index), len(l_index), entries)
     return LoadedResponses(responses, list(q_index), list(l_index))
 
 
@@ -322,14 +340,12 @@ def load_archive(path):
             f"dimensions block {dims} does not match the stored arrays {expected}",
             path,
         )
-    return ModelArchive(
-        state,
-        params,
-        tuple(doc["vocabulary"]),
-        tuple(doc["question_ids"]),
-        tuple(doc["learner_ids"]),
-        report,
-    )
+    try:
+        return ModelArchive(state, params, tuple(doc["vocabulary"]),
+                            tuple(doc["question_ids"]), tuple(doc["learner_ids"]), report)
+    except ValidationError as exc:
+        # an id list or the concept count that disagrees with the factors
+        raise DataFormatError(f"malformed archive field: {exc}", path) from None
 
 
 def _dot_quote(label):
@@ -477,16 +493,21 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_csv(path, check_header):
-    """Yield the line number and stripped fields of each data row of a CSV file.
+def _read_csv(path, check_header, read_rows):
+    """Read a CSV file in one pass and return ``read_rows(lines, columns)``.
 
-    A row's line number is the physical line its record starts on, so a
-    quoted field that spans lines moves the rows after it down.
+    ``columns`` holds one list of stripped fields per header column, a row
+    per data row, and ``lines`` the physical line each row's record starts
+    on, so a quoted field that spans lines moves the rows after it down.
     The file is read as UTF-8, a leading byte order mark dropped.
     ``check_header(header, path)`` gets the stripped header fields, None for
     an empty file, and raises DataFormatError to reject them. Blank rows are
-    skipped but counted, and every other row must have as many fields as the
-    header.
+    skipped but counted, and every other row must have as many fields as
+    the header. ``read_rows`` gets the rows before the first one with the
+    wrong field count, when there are any, and raises DataFormatError on the
+    first faulty one; that row's own error comes only after it, so an error
+    always names the first faulty row in file order. A file with no data
+    rows gives None.
     """
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -494,16 +515,31 @@ def _read_csv(path, check_header):
         if header is not None:
             header = [h.strip() for h in header]
         check_header(header, path)
+        lines, rows, wrong_width = [], [], None
         start = reader.line_num + 1
         for row in reader:
-            line, start = start, reader.line_num + 1
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"expected {len(header)} fields, got {len(row)}", path, (line,)
-                )
-            yield line, [field.strip() for field in row]
+            if row:
+                if len(row) != len(header):
+                    wrong_width = DataFormatError(
+                        f"expected {len(header)} fields, got {len(row)}", path, (start,))
+                    break
+                lines.append(start)
+                rows.append(row)
+            start = reader.line_num + 1
+    result = None
+    if rows:
+        # stripped a column at a time
+        result = read_rows(lines, [list(map(str.strip, column)) for column in zip(*rows)])
+    if wrong_width is not None:
+        raise wrong_width
+    return result
+
+
+def _first_empty(*columns):
+    """The index of the first row with an empty field in the columns, or None."""
+    if not any("" in column for column in columns):
+        return None
+    return next(r for r, fields in enumerate(zip(*columns)) if "" in fields)
 
 
 def _exact_header(names):
@@ -560,21 +596,25 @@ def read_grid_csv(path):
             )
         col.update((name, k) for k, name in enumerate(header))
 
-    grid = []
-    for line, row in _read_csv(path, check_header):
-        try:
-            params = HyperParams(
-                lam=float(row[col["lambda"]]),
-                gamma=float(row[col["gamma"]]),
-                eta=float(row[col["eta"]]),
-                tau=float(row[col["tau"]]),
-                num_concepts=int(row[col["k"]]),
-                epsilon=float(row[col["epsilon"]]) if "epsilon" in col else 1e-6,
-            )
-        except (ValueError, ValidationError) as exc:
-            raise DataFormatError(f"bad grid row: {exc}", path, (line,))
-        grid.append(params)
-    if not grid:
+    def read_rows(lines, columns):
+        grid = []
+        for line, row in zip(lines, zip(*columns)):
+            try:
+                params = HyperParams(
+                    lam=float(row[col["lambda"]]),
+                    gamma=float(row[col["gamma"]]),
+                    eta=float(row[col["eta"]]),
+                    tau=float(row[col["tau"]]),
+                    num_concepts=int(row[col["k"]]),
+                    epsilon=float(row[col["epsilon"]]) if "epsilon" in col else 1e-6,
+                )
+            except (ValueError, ValidationError) as exc:
+                raise DataFormatError(f"bad grid row: {exc}", path, (line,))
+            grid.append(params)
+        return grid
+
+    grid = _read_csv(path, check_header, read_rows)
+    if grid is None:
         raise DataFormatError("grid file has no rows", path)
     return grid
 
@@ -600,13 +640,15 @@ def write_keywords_csv(summaries, path):
 def read_entries_csv(path):
     """Parse a prediction request CSV with header question_id,learner_id."""
     path = Path(path)
-    pairs = []
-    check_header = _exact_header(["question_id", "learner_id"])
-    for line, (qid, lid) in _read_csv(path, check_header):
-        if not qid or not lid:
-            raise DataFormatError("empty question or learner id", path, (line,))
-        pairs.append((qid, lid))
-    if not pairs:
+
+    def read_rows(lines, columns):
+        r = _first_empty(*columns)
+        if r is not None:
+            raise DataFormatError("empty question or learner id", path, (lines[r],))
+        return list(zip(*columns))
+
+    pairs = _read_csv(path, _exact_header(["question_id", "learner_id"]), read_rows)
+    if pairs is None:
         raise DataFormatError("no data rows", path)
     return pairs
 

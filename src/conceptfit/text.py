@@ -4,11 +4,16 @@ A document is either raw text (tokenized here) or a pre-split list of
 terms, which passes through untouched; the latter supports tag-style
 vocabularies where each term may contain spaces. No stemming: keyword
 tables should show surface forms.
+
+Each document is tokenized once per corpus: a ``Corpus`` counts its
+documents' terms on first use and keeps the counts, which both
+``build_vocabulary`` and ``count_matrix`` read.
 """
 
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -83,7 +88,12 @@ def load_stop_words(path=None):
 
 @dataclass(frozen=True)
 class Corpus:
-    """One document per question: (question_id, text or term tuple) pairs."""
+    """One document per question: (question_id, text or term tuple) pairs.
+
+    The per-document term counts are formed once, on first use, and kept
+    for the corpus's life; the documents are immutable, so they cannot go
+    stale.
+    """
 
     documents: tuple
 
@@ -112,6 +122,11 @@ class Corpus:
     def __len__(self):
         return len(self.documents)
 
+    @cached_property
+    def _term_counts(self):
+        """One ``Counter`` of ``document_tokens`` per document, in corpus order."""
+        return tuple(Counter(document_tokens(content)) for _, content in self.documents)
+
 
 def build_vocabulary(corpus, stop_words, min_count=1):
     """All corpus tokens minus stop words and words rarer than min_count.
@@ -121,8 +136,8 @@ def build_vocabulary(corpus, stop_words, min_count=1):
     """
     _check_count("min_count", min_count, 1)
     totals = Counter()
-    for _, content in corpus.documents:
-        totals.update(document_tokens(content))
+    for terms in corpus._term_counts:
+        totals.update(terms)
     items = [
         (word, count)
         for word, count in totals.items()
@@ -141,13 +156,14 @@ def count_matrix(corpus, vocabulary):
 
     Out-of-vocabulary tokens are ignored. The caller is responsible for
     ordering the corpus consistently with the response set's question
-    indexing.
+    indexing. It reads the corpus's kept term counts, so no document is
+    tokenized twice, and writes each row in one assignment.
     """
     index = {word: v for v, word in enumerate(vocabulary)}
     counts = np.zeros((len(corpus.documents), len(vocabulary)), dtype=np.int64)
-    for row, (_, content) in enumerate(corpus.documents):
-        for token in document_tokens(content):
-            v = index.get(token)
-            if v is not None:
-                counts[row, v] += 1
+    for row, terms in enumerate(corpus._term_counts):
+        hits = [(index[word], n) for word, n in terms.items() if word in index]
+        if hits:
+            columns, values = zip(*hits)
+            counts[row, list(columns)] = values
     return WordCountMatrix(len(corpus.documents), list(vocabulary), counts)

@@ -37,6 +37,16 @@ from conceptfit.evaluation import ConceptSummary, CvScore
 from conceptfit.text import build_vocabulary, count_matrix, load_stop_words
 
 
+# one row per fault kind, and the error it gives on line 3 of a grades file
+# whose line 2 is "q1,s1,1"
+RESPONSE_FAULTS = {
+    "empty-id": (" ,s2,1", "empty question or learner id", (3,)),
+    "bad-grade": ("q3,s3,2", "grade must be 0 or 1, got '2'", (3,)),
+    "duplicate-pair": ("q1,s1,0", "duplicate pair (q1, s1)", (2, 3)),
+    "field-count": ("q4,s4", "expected 3 fields, got 2", (3,)),
+}
+
+
 class TestLoadResponses:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -107,6 +117,17 @@ class TestLoadResponses:
         with pytest.raises(DataFormatError) as err:
             load_responses(path)
         assert err.value.lines == (2,)
+
+    @pytest.mark.parametrize("first, second", [
+        (a, b) for a in RESPONSE_FAULTS for b in RESPONSE_FAULTS if a != b])
+    def test_the_first_faulty_row_in_file_order_is_named(self, tmp_path, first, second):
+        row, message, lines = RESPONSE_FAULTS[first]
+        path = tmp_path / "r.csv"
+        path.write_text(f"question_id,learner_id,grade\nq1,s1,1\n{row}\n"
+                        f"{RESPONSE_FAULTS[second][0]}\n")
+        with pytest.raises(DataFormatError) as err:
+            load_responses(path)
+        assert str(err.value) == str(DataFormatError(message, path, lines))
 
 
 class TestLoadCorpus:
@@ -247,6 +268,10 @@ class TestArchive:
                      id="lambda-zero"),
         pytest.param(lambda doc: doc["hyperparameters"].update({"lambda": True}),
                      id="lambda-true"),
+        # ModelArchive's consistency checks escaped the same way
+        pytest.param(lambda doc: doc["question_ids"].pop(), id="question-ids-short"),
+        pytest.param(lambda doc: doc["hyperparameters"].update(num_concepts=3),
+                     id="num-concepts-not-W"),
     ])
     def test_malformed_archive_is_a_data_format_error(self, tmp_path, rng, edit):
         path = tmp_path / "a.json"
@@ -565,6 +590,13 @@ class TestCsvReaders:
         path = tmp_path / "f.csv"
         path.write_text(f'{case.header}\n"{first}\n",{rest}\n{case.short}\n')
         self.fails(case, path, self.field_count_error(case, 4))
+
+    def test_the_first_faulty_row_in_file_order_is_named(self, tmp_path, case):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{case.header}\n{case.empty}\n{case.short}\n")
+        self.fails(case, path, case.empty_error)
+        path.write_text(f"{case.header}\n{case.short}\n{case.empty}\n")
+        self.fails(case, path, self.field_count_error(case, 2))
 
     def test_a_byte_order_mark_before_the_header_is_dropped(self, tmp_path, case):
         path = tmp_path / "f.csv"

@@ -1,8 +1,12 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conceptfit.text
 from conceptfit import (
     Corpus,
     EmptyVocabularyError,
@@ -13,6 +17,12 @@ from conceptfit import (
     load_stop_words,
     tokenize,
 )
+from conceptfit.text import document_tokens
+
+# raw text over letters, digits and separators, so that tokenizing splits,
+# drops short and numeric tokens and folds case; terms may hold spaces
+RAW_TEXT = st.text(alphabet="abAB1 _-.,", max_size=30)
+TERMS = st.lists(st.text(alphabet="ab c", min_size=1, max_size=4), max_size=8)
 
 
 class TestTokenize:
@@ -123,6 +133,29 @@ class TestCountMatrix:
         # row sums match per-document token counts
         for row, (_, text) in zip(counts.counts, corpus.documents):
             assert int(row.sum()) == len(text.split()) if text else True
+
+    def test_each_document_is_tokenized_once(self, monkeypatch):
+        calls = []
+        real = conceptfit.text.tokenize
+        monkeypatch.setattr(conceptfit.text, "tokenize",
+                            lambda text: calls.append(text) or real(text))
+        texts = ("water heat water", "soil heat", "")
+        corpus = Corpus(tuple((f"q{i}", text) for i, text in enumerate(texts)))
+        vocab = build_vocabulary(corpus, StopWordList(frozenset()), 1)
+        count_matrix(corpus, vocab)
+        assert sorted(calls) == sorted(texts)
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(RAW_TEXT, TERMS), min_size=1, max_size=6), st.data())
+    def test_counts_equal_a_per_token_count(self, contents, data):
+        corpus = Corpus(tuple((f"q{i}", c) for i, c in enumerate(contents)))
+        seen = sorted({t for c in contents for t in document_tokens(c)})
+        # words from the corpus and words it lacks, in any order
+        vocab = data.draw(st.lists(st.sampled_from(seen + ["absent", "zz z"]),
+                                   unique=True).flatmap(st.permutations))
+        oracle = [Counter(document_tokens(c)) for c in contents]
+        expected = [[tokens[word] for word in vocab] for tokens in oracle]
+        assert count_matrix(corpus, vocab).counts.tolist() == expected
 
     def test_corpus_scale_performance(self, rng):
         words = [f"term{k:03d}" for k in range(400)]
