@@ -276,6 +276,17 @@ def _typed(value, kind, name, path):
     return value
 
 
+def _strings(value, name, path):
+    """``value`` as a tuple if it is a JSON list of strings; else DataFormatError.
+
+    Checked rather than converted: ``tuple("ab")`` is ``('a', 'b')``.
+    """
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataFormatError(
+            f"archive field {name!r} must be a JSON list of strings, got {value!r}", path)
+    return tuple(value)
+
+
 def load_archive(path):
     """Read an archive and re-validate every feasibility invariant."""
     path = Path(path)
@@ -340,9 +351,10 @@ def load_archive(path):
             f"dimensions block {dims} does not match the stored arrays {expected}",
             path,
         )
+    ids = [_strings(doc[key], key, path)
+           for key in ("vocabulary", "question_ids", "learner_ids")]
     try:
-        return ModelArchive(state, params, tuple(doc["vocabulary"]),
-                            tuple(doc["question_ids"]), tuple(doc["learner_ids"]), report)
+        return ModelArchive(state, params, *ids, report)
     except ValidationError as exc:
         # an id list or the concept count that disagrees with the factors
         raise DataFormatError(f"malformed archive field: {exc}", path) from None

@@ -356,9 +356,12 @@ def bernoulli_nll(y, z, tau):
     return _array_or_float(_bernoulli_terms(u, e))
 
 
-def _floored_rate(a_raw, epsilon):
-    """Poisson rate a = max(a_raw, epsilon); epsilon may be a grid of floors."""
-    return np.maximum(np.asarray(a_raw, dtype=float), epsilon)
+def _floored_rate(a_raw, epsilon, out=None):
+    """Poisson rate a = max(a_raw, epsilon); epsilon may be a grid of floors.
+
+    Given ``out``, an array of the rates' shape, the rates are written into it.
+    """
+    return np.maximum(np.asarray(a_raw, dtype=float), epsilon, out=out)
 
 
 def _scored_floors(b, epsilon):
@@ -372,14 +375,23 @@ def _scored_floors(b, epsilon):
     return np.where(np.asarray(b) > 0, np.finfo(float).tiny, epsilon)
 
 
-def _poisson_terms(b, a):
-    """Per-cell Poisson value a - b log(a) at floored rates a."""
-    return a - np.asarray(b, dtype=float) * np.log(a)
+def _poisson_terms(b, a, out=None):
+    """Per-cell Poisson value a - b log(a) at floored rates a.
+
+    Given ``out``, an array of a's shape other than a, the terms are formed
+    in it and no other array is made; the operations, and so the bits, are
+    the same either way.
+    """
+    logs = np.log(a, out=out)
+    return np.subtract(a, np.multiply(b, logs, out=out), out=out)
 
 
-def _poisson_ratio(b, a):
-    """r = b / a at floored rates a; the slope in the raw rate is 1 - r."""
-    return b / a
+def _poisson_ratio(b, a, out=None):
+    """r = b / a at floored rates a; the slope in the raw rate is 1 - r.
+
+    Given ``out`` (which may be a itself), the ratios are written into it.
+    """
+    return np.divide(b, a, out=out)
 
 
 def poisson_nll(b, a_raw, epsilon=1e-6):

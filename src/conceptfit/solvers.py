@@ -52,7 +52,11 @@ one block:
   question or learner of each cell, which sums the terms per row with
   ``np.bincount``; the latter is formed on first use per shape of the
   slacks;
-- the counts as floats and their scored floors.
+- the counts as floats and their scored floors;
+- the work arrays behind the Q x V Poisson grids, of the counts' shape:
+  raw rates, floored rates or ratios, and terms. Every W and T evaluation
+  writes into them with ``out=``, by the same operations and so to the
+  same bits as fresh arrays, and allocates no Q x V array.
 
 What depends on the factors is formed once per block, that is once per
 sweep of a fit:
@@ -65,7 +69,10 @@ sweep of a fit:
   terms, the l1 weights and the halved ridge weights.
 
 The builders' only state is that set-up. It lives as long as the fit or
-builder call that formed it, and no two fits share one.
+builder call that formed it, and no two fits share one. No result of an
+evaluation is one of the work arrays, but the callables of a ``Subproblem``
+(and the W and T blocks of one fit) share them, so one ``Subproblem`` must
+not be evaluated from two threads at once; the estimator never does.
 
 The per-row ``grad_*`` and ``*_subproblem`` functions are one-row views of
 the same block builders: a 1-D [w_i | mu_i] row or knowledge column with
@@ -158,6 +165,11 @@ class Subproblem(NamedTuple):
     equal to what ``rows[0]`` and ``smooth_gradient`` return one at a time.
     Passed to ``fista_minimize`` as ``smooth_gradient``, it spares every
     iteration a value-only pass at the momentum point.
+
+    The callables of a W or T block's ``Subproblem`` write the block's Q x V
+    grids into work arrays that they share, so one ``Subproblem`` must not
+    be evaluated from two threads at once. No array they return is one of
+    those work arrays.
     """
 
     smooth_value: Callable
@@ -333,7 +345,11 @@ def grad_t_column(b_col, W, t, eta, epsilon=1e-6):
 
 
 def w_row_subproblem(y_obs, c_obs, b_row, T, tau, lam, epsilon=1e-6):
-    """Composite problem for one row [w_i | mu_i] of the association block."""
+    """Composite problem for one row [w_i | mu_i] of the association block.
+
+    Its callables share work arrays, so it must not be evaluated from two
+    threads at once.
+    """
     y = np.asarray(y_obs, dtype=float)
     return w_block_subproblem((np.arange(y.size), y), c_obs, b_row, T, tau, lam, epsilon)
 
@@ -345,7 +361,11 @@ def c_column_subproblem(y_obs, w_obs, mu_obs, gamma, tau):
 
 
 def t_column_subproblem(b_col, W, eta, epsilon=1e-6):
-    """Composite problem for one word column of T; nonnegative projection."""
+    """Composite problem for one word column of T; nonnegative projection.
+
+    Its callables share work arrays, so it must not be evaluated from two
+    threads at once.
+    """
     return t_block_subproblem(np.asarray(b_col, dtype=float), W, eta, epsilon)
 
 
@@ -418,12 +438,15 @@ class _FitBlocks:
 
     ``grades = (cells, y)`` and the Q x V ``counts`` are the fit's data.
     What they fix is formed on first use and kept: each axis's Bernoulli
-    helper, with the question or learner of each cell it groups by, and
-    the float counts with their scored floors. ``w``, ``c`` and ``t`` then
-    build a sweep's subproblems from the factors alone. A fit forms one and
-    drops it when it ends; no two fits share one. A public builder forms
-    one for its one block, so it forms only what that block uses and passes
-    None for the rest.
+    helper, with the question or learner of each cell it groups by, the
+    float counts with their scored floors, and the Q x V work arrays of the
+    counts' shape that the W and T blocks evaluate into. Every subproblem
+    built here shares those arrays, so no two of them may be evaluated from
+    two threads at once; the estimator evaluates one at a time. ``w``,
+    ``c`` and ``t`` build a sweep's subproblems from the factors alone. A
+    fit forms one and drops it when it ends; no two fits share one. A
+    public builder forms one for its one block, so it forms only what that
+    block uses and passes None for the rest.
     """
 
     def __init__(self, grades, counts, tau, epsilon):
@@ -443,6 +466,17 @@ class _FitBlocks:
         counts = np.asarray(self._raw_counts, dtype=float)
         return counts, _scored_floors(counts, self._epsilon)
 
+    @cached_property
+    def _poisson_grids(self):
+        """Work arrays of the counts' shape: raw rates, floored rates or ratios, terms.
+
+        Every W and T block evaluation of the fit writes into them, so none
+        allocates a Q x V array. Nothing returned from an evaluation is one
+        of them.
+        """
+        shape = self._counts[0].shape
+        return np.empty(shape), np.empty(shape), np.empty(shape)
+
     def w(self, c_aug, T, lam):
         """The [W | mu] block at knowledge ``c_aug`` and profiles ``T``."""
         bern_value, bern_value_and_slope = self._by_question
@@ -454,24 +488,29 @@ class _FitBlocks:
         row_sums = T.sum(axis=1)  # the slope's constant part, ones @ T.T
         ones = np.ones((T.shape[1], 1))  # sums the count terms per row
 
-        def poisson(raw):
-            return _poisson_terms(counts, _floored_rate(raw, floors)) @ ones
+        def rates(X):
+            """The raw rates at X, in the first work array, and the other two."""
+            raw, a, terms = self._poisson_grids
+            return np.matmul(X[..., :-1], T, out=raw), a, terms
+
+        def poisson(raw, a, terms):
+            return _poisson_terms(counts, _floored_rate(raw, floors, a), terms) @ ones
 
         def value(X):
             bern = bern_value(X @ c_aug)
             if not has_words:
                 return bern
-            return bern + poisson(X[..., :-1] @ T)
+            return bern + poisson(*rates(X))
 
         def value_and_gradient(X):
             bern, S = bern_value_and_slope(X @ c_aug)
             g = S @ c_aug.T
             if not has_words:
                 return bern, g
-            raw = X[..., :-1] @ T
-            r = _poisson_ratio(counts, _floored_rate(raw, epsilon))
+            raw, a, terms = rates(X)
+            r = _poisson_ratio(counts, _floored_rate(raw, epsilon, a), a)
             g[..., :-1] += row_sums - r @ T.T
-            return bern + poisson(raw), g
+            return bern + poisson(raw, a, terms), g
 
         def prox(point, step):
             return _prox_w(point, step * lam)
@@ -519,17 +558,23 @@ class _FitBlocks:
         if counts.ndim == 2:
             col_sums = col_sums[:, None]
 
-        def value_at(raw, T):
-            a = _floored_rate(raw, floors)
-            return ones @ _poisson_terms(counts, a) + half_eta @ (T * T)
+        def rates(T):
+            """The raw rates at T, in the first work array, and the other two."""
+            raw, a, terms = self._poisson_grids
+            return np.matmul(W, T, out=raw), a, terms
+
+        def value_at(T, raw, a, terms):
+            a = _floored_rate(raw, floors, a)
+            return ones @ _poisson_terms(counts, a, terms) + half_eta @ (T * T)
 
         def value(T):
-            return value_at(W @ T, T)
+            return value_at(T, *rates(T))
 
         def value_and_gradient(T):
-            raw = W @ T
-            r = _poisson_ratio(counts, _floored_rate(raw, epsilon))
-            return value_at(raw, T), col_sums - W.T @ r + eta * T
+            raw, a, terms = rates(T)
+            r = _poisson_ratio(counts, _floored_rate(raw, epsilon, a), a)
+            g = col_sums - W.T @ r + eta * T
+            return value_at(T, raw, a, terms), g
 
         def prox(point, step):
             return prox_nonneg(point)
@@ -545,7 +590,8 @@ def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):
     row. An empty vocabulary (``counts`` with zero columns, a K x 0 ``T``)
     drops the word-count term. A 1-D variable is the problem of a single
     row. Values come per row, Q x 1: the grades by question, the counts'
-    row sums and the l1 term of each row.
+    row sums and the l1 term of each row. Its callables share Q x V work
+    arrays, so it must not be evaluated from two threads at once.
     """
     return _FitBlocks(grades, counts, tau, epsilon).w(c_aug, T, lam)
 
@@ -561,6 +607,8 @@ def c_block_subproblem(grades, W, mu, gamma, tau):
 def t_block_subproblem(counts, W, eta, epsilon=1e-6):
     """Stacked word-profile problem covering every column of T, or one 1-D column.
 
-    Values come per column, 1 x V: the Poisson value plus the ridge.
+    Values come per column, 1 x V: the Poisson value plus the ridge. Its
+    callables share Q x V work arrays, so it must not be evaluated from two
+    threads at once.
     """
     return _FitBlocks(None, counts, None, epsilon).t(W, eta)

@@ -1,21 +1,31 @@
-"""Question text to word counts: tokens, stop words, vocabulary, counting.
+r"""Question text to word counts: tokens, stop words, vocabulary, counting.
 
 A document is either raw text (tokenized here) or a pre-split list of
 terms, which passes through untouched; the latter supports tag-style
 vocabularies where each term may contain spaces. No stemming: keyword
 tables should show surface forms.
 
+Raw text is split into the maximal runs of letters and digits, the
+regular expression ``[^\W_]+`` over the lowercased text. Text that is ASCII
+once lowercased takes a faster route to the same tokens: one ``translate``
+maps every ASCII character that is not a letter or digit to a space and
+``split`` cuts at the spaces. Over ASCII the expression's letters and digits
+are exactly the characters for which ``str.isalnum`` holds, so both routes
+give the same runs.
+
 Each document is tokenized once per corpus: a ``Corpus`` counts its
-documents' terms on first use and keeps the counts, which both
+documents' terms on first use, gives each distinct term an integer id and
+keeps the nonzero (document, term, count) triples as arrays, which both
 ``build_vocabulary`` and ``count_matrix`` read.
 """
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,15 +43,28 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"[^\W_]+")
+# every ASCII character that is not a letter or digit, to a space
+_ASCII_SEPARATORS = str.maketrans(
+    {c: " " for c in map(chr, range(128)) if not c.isalnum()})
 
 
 def tokenize(text):
-    """Lowercase, split on runs of non-alphanumerics, drop short and numeric tokens.
+    r"""Lowercase, split on runs of non-alphanumerics, drop short and numeric tokens.
 
+    The tokens are the maximal runs matched by ``[^\W_]+`` in the lowercased
+    text. If that text is ASCII they come from one ``translate`` of every
+    other character to a space and a ``split``, which gives the same runs,
+    since an ASCII character is a letter or digit to the expression exactly
+    when ``str.isalnum`` holds; other text is matched by the expression.
     Tokens shorter than two characters and pure numbers are noise at this
     corpus scale and are removed.
     """
-    return [t for t in _TOKEN.findall(text.lower()) if len(t) >= 2 and not t.isdigit()]
+    text = text.lower()
+    if text.isascii():
+        tokens = text.translate(_ASCII_SEPARATORS).split()
+    else:
+        tokens = _TOKEN.findall(text)
+    return [t for t in tokens if len(t) >= 2 and not t.isdigit()]
 
 
 def document_tokens(content):
@@ -86,13 +109,26 @@ def load_stop_words(path=None):
     return StopWordList(frozenset(words))
 
 
+class _TermCounts(NamedTuple):
+    """A corpus's nonzero (document, term, count) triples, terms by id.
+
+    ``terms[i]`` is the term of id i, in order of first occurrence;
+    ``document``, ``term`` and ``count`` are the triples' int64 arrays,
+    sorted by document and then by term id.
+    """
+
+    terms: list
+    document: np.ndarray
+    term: np.ndarray
+    count: np.ndarray
+
+
 @dataclass(frozen=True)
 class Corpus:
     """One document per question: (question_id, text or term tuple) pairs.
 
-    The per-document term counts are formed once, on first use, and kept
-    for the corpus's life; the documents are immutable, so they cannot go
-    stale.
+    The term counts are formed once, on first use, and kept for the
+    corpus's life; the documents are immutable, so they cannot go stale.
     """
 
     documents: tuple
@@ -124,8 +160,20 @@ class Corpus:
 
     @cached_property
     def _term_counts(self):
-        """One ``Counter`` of ``document_tokens`` per document, in corpus order."""
-        return tuple(Counter(document_tokens(content)) for _, content in self.documents)
+        """The ``_TermCounts`` of every document's ``document_tokens``."""
+        streams = [document_tokens(content) for _, content in self.documents]
+        tokens = list(chain.from_iterable(streams))
+        terms = list(dict.fromkeys(tokens))
+        ids = {term: i for i, term in enumerate(terms)}
+        term = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
+        lengths = np.fromiter(map(len, streams), np.int64, len(streams))
+        # one key per token, document * width + term id, counted by np.unique;
+        # a corpus without tokens still divides by 1
+        width = max(len(terms), 1)
+        keys = np.repeat(np.arange(len(streams), dtype=np.int64) * width, lengths) + term
+        keys, count = np.unique(keys, return_counts=True)
+        document, term = np.divmod(keys, width)
+        return _TermCounts(terms, document, term, count)
 
 
 def build_vocabulary(corpus, stop_words, min_count=1):
@@ -135,13 +183,12 @@ def build_vocabulary(corpus, stop_words, min_count=1):
     the result is deterministic.
     """
     _check_count("min_count", min_count, 1)
-    totals = Counter()
-    for terms in corpus._term_counts:
-        totals.update(terms)
+    terms, _, term, count = corpus._term_counts
+    totals = np.bincount(term, count, len(terms)).astype(np.int64).tolist()
     items = [
-        (word, count)
-        for word, count in totals.items()
-        if count >= min_count and word not in stop_words
+        (word, total)
+        for word, total in zip(terms, totals)
+        if total >= min_count and word not in stop_words
     ]
     if not items:
         raise EmptyVocabularyError(
@@ -157,13 +204,13 @@ def count_matrix(corpus, vocabulary):
     Out-of-vocabulary tokens are ignored. The caller is responsible for
     ordering the corpus consistently with the response set's question
     indexing. It reads the corpus's kept term counts, so no document is
-    tokenized twice, and writes each row in one assignment.
+    tokenized twice, and scatters every counted vocabulary word in one
+    assignment.
     """
+    terms, document, term, count = corpus._term_counts
     index = {word: v for v, word in enumerate(vocabulary)}
+    column = np.array([index.get(t, -1) for t in terms], dtype=np.int64)[term]
+    hit = column >= 0
     counts = np.zeros((len(corpus.documents), len(vocabulary)), dtype=np.int64)
-    for row, terms in enumerate(corpus._term_counts):
-        hits = [(index[word], n) for word, n in terms.items() if word in index]
-        if hits:
-            columns, values = zip(*hits)
-            counts[row, list(columns)] = values
+    counts[document[hit], column[hit]] = count[hit]
     return WordCountMatrix(len(corpus.documents), list(vocabulary), counts)

@@ -307,6 +307,22 @@ class TestArchive:
             load_archive(path)
         assert err.value.path == str(path)
 
+    @pytest.mark.parametrize("field", ["vocabulary", "question_ids", "learner_ids"])
+    @pytest.mark.parametrize("kind", ["string", "number", "non-string-item"])
+    def test_id_lists_are_checked_not_coerced(self, tmp_path, rng, field, kind):
+        # tuple() turned a string of the right length into one id per
+        # character and a number into a bare TypeError
+        path = tmp_path / "a.json"
+        save_archive(toy_archive(rng), path)
+        doc = json.loads(path.read_text())
+        names = doc[field]
+        doc[field] = {"string": "x" * len(names), "number": 5,
+                      "non-string-item": names[:-1] + [1]}[kind]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=field) as err:
+            load_archive(path)
+        assert err.value.path == str(path)
+
     def test_unsupported_schema_rejected(self, tmp_path, rng):
         archive = toy_archive(rng)
         path = tmp_path / "a.json"

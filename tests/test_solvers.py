@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -641,6 +642,37 @@ def test_one_set_up_builds_every_sweep_bitwise_as_the_public_builders(rng):
             want_values, want_gradient = public.value_and_gradient(x)
             assert same_bits(values, want_values) and same_bits(gradient, want_gradient)
             assert same_bits(ours.rows[0](x), public.rows[0](x))
+
+
+def test_warm_poisson_blocks_allocate_no_grid_and_return_no_work_array(rng):
+    # the W and T blocks write their Q x V rates, ratios and terms into work
+    # arrays that one _FitBlocks forms once and reuses
+    from conceptfit import GradedResponseSet
+
+    Q, N, V, K = 40, 4, 300, 3
+    W, mu, C, T, entries, counts = random_instance(rng, Q, N, V, K)
+    Y = GradedResponseSet(Q, N, entries)
+    blocks = _FitBlocks((Y.cells, Y.grades.astype(float)), counts, 1.4, 1e-6)
+    X = np.hstack([W, mu[:, None]])
+    c_aug = np.vstack([C, np.ones((1, N))])
+    grid_bytes = Q * V * np.dtype(float).itemsize
+    for name, sub, x in (("W", blocks.w(c_aug, T, 0.2), X), ("T", blocks.t(W, 0.3), T)):
+        value, value_and_gradient = sub.rows[0], sub.value_and_gradient
+        value(x), value_and_gradient(x)  # the warm-up forms the work arrays
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            values, gradient = value_and_gradient(x)
+            values_only = value(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes, name
+        # a later evaluation elsewhere must not change what an earlier one returned
+        results = (values, gradient, values_only)
+        kept = [r.copy() for r in results]
+        value_and_gradient(0.5 * x), value(2.0 * x)
+        assert all(same_bits(a, b) for a, b in zip(results, kept)), name
 
 
 def first_iteration_steps(build, x, cfg, initial_step=None):

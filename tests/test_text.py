@@ -1,9 +1,10 @@
+import re
 import time
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conceptfit.text
@@ -23,6 +24,19 @@ from conceptfit.text import document_tokens
 # drops short and numeric tokens and folds case; terms may hold spaces
 RAW_TEXT = st.text(alphabet="abAB1 _-.,", max_size=30)
 TERMS = st.lists(st.text(alphabet="ab c", min_size=1, max_size=4), max_size=8)
+# any text, weighted towards letters, digits, "_", ASCII punctuation and
+# control characters, and characters beyond ASCII, among them the Kelvin
+# sign, which lowercases to the ASCII "k"
+ANY_TEXT = st.text(st.one_of(st.characters(max_codepoint=127),
+                             st.sampled_from("aZ9_-.\t\x00\x7f\u212a\u0130\u00c9\u00df\u0663"),
+                             st.characters()), max_size=40)
+# term documents whose terms tokenizing would drop: one character, all digits
+SHORT_TERMS = st.lists(st.text(alphabet="ab1 ", min_size=1, max_size=3), max_size=8)
+
+
+def reference_tokenize(text):
+    return [t for t in re.findall(r"[^\W_]+", text.lower())
+            if len(t) >= 2 and not t.isdigit()]
 
 
 class TestTokenize:
@@ -43,6 +57,13 @@ class TestTokenize:
 
     def test_mixed_alphanumeric_kept(self):
         assert tokenize("co2 rises") == ["co2", "rises"]
+
+    @given(ANY_TEXT)
+    @example("\u212aelvin 42 x_y")  # the Kelvin sign: ASCII once lowercased
+    @example("Caf\u00e9 CAF\u00c9-au_lait 7\u0663")
+    @example("a\x1cbc\x00de\x7fgh\u3000ij")
+    def test_tokens_are_the_regular_expression_runs(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestStopWords:
@@ -101,6 +122,23 @@ class TestBuildVocabulary:
         corpus = Corpus((("q1", "water heat water"), ("q2", "soil heat")))
         stops = StopWordList(frozenset())
         assert build_vocabulary(corpus, stops, 1) == build_vocabulary(corpus, stops, 1)
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(RAW_TEXT, SHORT_TERMS), min_size=1, max_size=6),
+           st.sets(st.sampled_from(["ab", "ba", "a", "1", "a b"])), st.integers(1, 4))
+    def test_vocabulary_equals_a_counter_oracle(self, contents, stops, min_count):
+        corpus = Corpus(tuple((f"q{i}", c) for i, c in enumerate(contents)))
+        totals = Counter(t for c in contents for t in document_tokens(c))
+        kept = [(word, n) for word, n in totals.items()
+                if n >= min_count and word not in stops]
+        # by descending count, equal counts in lexicographic order
+        expected = [word for word, _ in sorted(kept, key=lambda wn: (-wn[1], wn[0]))]
+        stop_list = StopWordList(frozenset(stops))
+        if not expected:
+            with pytest.raises(EmptyVocabularyError):
+                build_vocabulary(corpus, stop_list, min_count)
+            return
+        assert build_vocabulary(corpus, stop_list, min_count) == expected
 
 
 class TestCountMatrix:

@@ -11,15 +11,19 @@ sha256 of its ``src`` files. Per workload it makes ``--pairs`` pairs of
 ``--trace 0`` runs, the two sides of a pair sharing one seed and taking turns
 to go first, then one ``--trace 1`` run per side. It writes, per side and
 workload, each end-to-end metric's runs, median and quartiles, the failed and
-attempted operations of every run and the traced run's per-layer metrics; and,
-per end-to-end metric, the change's median over the parent's and the pairs the
-change won. Runs go one at a time: the benchmark's timings assume an otherwise
-idle machine.
+attempted operations and the minor page faults of every run and the traced
+run's per-layer metrics; and, per end-to-end metric, the change's median over
+the parent's and the pairs the change won. A run's minor page faults are those
+of the ``bench/run.py`` process and its children, so a heap that keeps being
+trimmed and grown again shows in the record and not only as a slower median.
+Runs go one at a time: the benchmark's timings assume an otherwise idle
+machine.
 """
 
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -57,8 +61,11 @@ def source_digest(root):
 def bench(root, workload, seed, seconds, trace):
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    result["minor_faults"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+    return result
 
 
 def summary(values):
@@ -75,6 +82,7 @@ def side_entry(runs, traced):
         "correct": all(r["correct"] for r in runs + [traced]),
         "failed": [r["failed"] for r in runs],
         "attempted": [r["attempted"] for r in runs],
+        "minor_faults": [r["minor_faults"] for r in runs],
         "per_layer": {name: m["value"] for name, m in traced["metrics"].items()},
     }
 
