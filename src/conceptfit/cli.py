@@ -4,10 +4,18 @@ Subcommands: fit, fit-baseline, predict, evaluate, cv, keywords,
 export-graph, simulate. All randomness flows from --seed. Exit code 0 on
 success; on failure a single ``error: ...`` line goes to stderr and the
 exit code is nonzero.
+
+``main`` parses with one parser per process, built by ``build_parser`` on
+first use and kept; it only parses with it and never changes it, so each
+call's namespace depends on that call's arguments alone. A caller that
+runs many commands in one process, such as a batch of ``predict`` calls,
+pays for building the parser once.
 """
 
 import argparse
+import functools
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -164,7 +172,8 @@ def _archive_pairs(archive, question_ids, learner_ids, questions, learners):
     """
     def lookup(known, ids):
         index = {x: k for k, x in enumerate(known)}
-        return np.array([index.get(x, -1) for x in ids], dtype=np.int64)
+        return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.int64,
+                           count=len(ids))
 
     qi = lookup(archive.question_ids, question_ids)[questions]
     lj = lookup(archive.learner_ids, learner_ids)[learners]
@@ -382,8 +391,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser ``main`` parses with, built on first use."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConceptfitError, OSError) as exc:

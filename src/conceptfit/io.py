@@ -11,7 +11,9 @@ byte-identical files.
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -650,7 +652,12 @@ def write_keywords_csv(summaries, path):
 
 
 def read_entries_csv(path):
-    """Parse a prediction request CSV with header question_id,learner_id."""
+    """Parse a prediction request CSV with header question_id,learner_id.
+
+    Returns one (question_id, learner_id) tuple per data row, in file order,
+    each id stripped of outer whitespace. Raises DataFormatError for a file
+    with no data rows and for a row with an empty id.
+    """
     path = Path(path)
 
     def read_rows(lines, columns):
@@ -666,6 +673,26 @@ def read_entries_csv(path):
 
 
 def write_predictions_csv(rows, path):
-    _write_csv(path, ["question_id", "learner_id", "probability"], (
-        [qid, lid, repr(float(prob))] for qid, lid, prob in rows
-    ))
+    """Write (question_id, learner_id, probability) rows as a predictions CSV.
+
+    The header question_id,learner_id,probability comes first, then one
+    line per row in input order, with bare LF line ends as ``_write_csv``
+    writes them. Ids are strings, quoted as ``csv.writer`` quotes them;
+    each probability is written as ``repr(float(p))``. Each distinct id is
+    formatted once and the lines are written 512 at a time, with the bytes
+    of a per-row ``csv.writer``.
+    """
+    rows = list(rows)
+    question_ids, learner_ids, _ = zip(*rows) if rows else ((), (), ())
+    distinct = list(dict.fromkeys(chain(question_ids, learner_ids)))
+    formatted = []  # one line "<field>,\n" per distinct id
+    writer = csv.writer(SimpleNamespace(write=formatted.append), lineterminator="\n")
+    writer.writerows((x, "") for x in distinct)
+    field = dict(zip(distinct, (line[:-2] for line in formatted)))
+    lines = (f"{field[q]},{field[l]},{float(p)!r}\n" for q, l, p in rows)
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write("question_id,learner_id,probability\n")
+        # a few hundred lines per write: one string of the whole file, freed
+        # after each call, made the heap shrink and grow again between calls
+        while chunk := "".join(islice(lines, 512)):
+            fh.write(chunk)

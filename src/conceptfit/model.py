@@ -40,7 +40,9 @@ least epsilon, and for an epsilon of at most 1 the solvers' value is never
 below the objective's. Their slopes keep the epsilon floor.
 
 All values here are immutable once constructed and safe to share across
-threads; every operation is a pure function of its inputs.
+threads; every public operation is a pure function of its inputs. The
+exception is the private kernel that ``_objective_of`` returns: it
+evaluates into work arrays of its own, so it serves one thread at a time.
 """
 
 import math
@@ -436,15 +438,20 @@ def observed_slacks(state, question_idx, learner_idx):
 def _objective_of(responses, word_counts, params):
     """The full objective as a function of the state, for one data set and params.
 
-    What the data fix is formed once: the signed precision of the grades
-    and the float counts. Each call then takes the slacks of the observed
-    cells from ``(W @ C).take(cells)``, sums with ``np.add.reduce`` and
-    checks nothing, so a fit forms it once and calls it after every sweep.
-    The caller checks the state's dimensions against the data.
+    What the data fix is formed once: the signed precision of the grades,
+    the float counts, and two work arrays of the counts' shape that every
+    call writes its rates and Poisson terms into, so no call allocates a
+    Q x V array. Each call then takes the slacks of the observed cells from
+    ``(W @ C).take(cells)``, sums with ``np.add.reduce`` and checks nothing,
+    so a fit forms it once and calls it after every sweep. The caller checks
+    the state's dimensions against the data. Because of the work arrays,
+    one kernel must not be evaluated from two threads at once; the
+    estimator evaluates it from one, and ``objective`` forms its own.
     """
     cells, question_idx = responses.cells, responses.question_idx
     m = _signed_precision(responses.grades, params.tau)
     counts = word_counts.counts.astype(float)
+    rates, terms = np.empty(counts.shape), np.empty(counts.shape)
     lam, half_gamma, half_eta = params.lam, 0.5 * params.gamma, 0.5 * params.eta
     epsilon = params.epsilon
     add = np.add.reduce
@@ -453,7 +460,8 @@ def _objective_of(responses, word_counts, params):
         W, C, T = state.W, state.C, state.T
         z = (W @ C).take(cells) + state.mu.take(question_idx)
         bern = add(_bernoulli_terms(*_bernoulli_margins(m, z)))
-        pois = add(_poisson_terms(counts, _floored_rate(W @ T, epsilon)), None)
+        a = _floored_rate(np.matmul(W, T, out=rates), epsilon, rates)
+        pois = add(_poisson_terms(counts, a, terms), None)
         penalties = (lam * add(np.abs(W), None) + half_gamma * add(C * C, None)
                      + half_eta * add(T * T, None))
         return float(bern + pois + penalties)

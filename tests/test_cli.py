@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import conceptfit.cli
+import conceptfit.model
 from conceptfit import load_archive, predict_response_prob
 from conceptfit.cli import build_parser, main
 
@@ -421,3 +423,80 @@ def test_weight_floor_help_names_mean_positive_weight():
     graph = sub.choices["export-graph"]
     floor = next(a for a in graph._actions if a.dest == "weight_floor")
     assert "mean positive" in floor.help
+
+
+def test_the_kept_parser_carries_nothing_from_one_call_to_the_next(
+        sim_files, tmp_path, monkeypatch, capsys):
+    baseline, model = tmp_path / "b.json", tmp_path / "m.json"
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("question_id,learner_id\nq0001,s0002\nq0003,s0001\n")
+    bad.write_text("question_id,learner_id\nq0001,nobody\n")
+    predictions = tmp_path / "p.csv"
+    fit_options = ["--responses", sim_files["responses"], "--lambda", "0.2",
+                   "--gamma", "0.2", "--tau", "2.0", "-k", "2", "--max-outer", "2"]
+    calls = [
+        # fit-baseline sets corpus=None and eta=1.0 by default; fit must not see them
+        ["fit-baseline", *fit_options, "--output", baseline],
+        ["fit", *fit_options, "--corpus", sim_files["corpus"], "--eta", "0.2",
+         "--output", model],
+        # a failing call, then a good one
+        ["predict", "--archive", model, "--entries", bad, "--output", predictions],
+        ["predict", "--archive", model, "--entries", good, "--output", predictions,
+         "--tau", "3.0"],
+        # an exit from inside the parser, then a good call that must not see tau 3.0
+        ["--help"],
+        ["predict", "--archive", model, "--entries", good, "--output", predictions],
+    ]
+    calls = [[str(a) for a in argv] for argv in calls]
+
+    def outcomes():
+        """Per call: exit code, stdout, stderr and the bytes of every file written."""
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            written = {f.name: f.read_bytes() for f in (baseline, model, predictions)
+                       if f.exists()}
+            seen.append((code, *capsys.readouterr(), written))
+        for f in (baseline, model, predictions):
+            f.unlink(missing_ok=True)
+        return seen
+
+    kept = conceptfit.cli._parser()
+    assert conceptfit.cli._parser() is kept
+    with_kept = outcomes()
+    assert [outcome[0] for outcome in with_kept] == [0, 0, 1, 0, ("exit", 0), 0]
+    assert with_kept[2][2] == "error: unknown learner_id 'nobody'\n"
+    assert with_kept[3][3] != with_kept[5][3]  # tau 3.0 and the archived 2.0 differ
+    for argv in calls[:2] + calls[3:4] + calls[5:]:
+        assert kept.parse_args(argv) == build_parser().parse_args(argv)
+    monkeypatch.setattr(conceptfit.cli, "_parser", build_parser)  # a new one per call
+    assert with_kept == outcomes()
+
+
+def test_predict_calls_each_traced_name_once(sim_files, tmp_path, monkeypatch):
+    model = tmp_path / "m.json"
+    assert run("fit", "--responses", sim_files["responses"], "--corpus",
+               sim_files["corpus"], *HYPER, "--max-outer", 2, "--output", model) == 0
+    entries = tmp_path / "e.csv"
+    entries.write_text("question_id,learner_id\nq0001,s0002\nq0003,s0001\n")
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("load_archive", "read_entries_csv", "write_predictions_csv"):
+        counted(conceptfit.cli, name)
+    counted(conceptfit.model, "predict_response_prob")
+    assert run("predict", "--archive", model, "--entries", entries,
+               "--output", tmp_path / "p.csv") == 0
+    assert calls == {"load_archive": 1, "read_entries_csv": 1,
+                     "write_predictions_csv": 1, "predict_response_prob": 1}

@@ -1,9 +1,12 @@
+import csv
 import json
 import math
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from conceptfit import (
@@ -528,6 +531,54 @@ class TestAuxCsv:
         path.write_text("question_id\nq1\n")
         with pytest.raises(DataFormatError):
             read_entries_csv(path)
+
+
+def per_row_predictions(rows, path):
+    """The predictions file as a per-row ``csv.writer`` writes it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["question_id", "learner_id", "probability"])
+        for question_id, learner_id, prob in rows:
+            writer.writerow([question_id, learner_id, repr(float(prob))])
+
+
+# ids that csv must quote, or must leave alone, and one in non-ASCII text
+AWKWARD_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "  padded  ", " ",
+               "naïve ünïcode 日本", "plain"]
+
+
+class TestWritePredictionsCsv:
+    def check(self, tmp_path, rows):
+        write_predictions_csv(iter(rows), tmp_path / "fast.csv")  # read once, as zip is
+        per_row_predictions(rows, tmp_path / "reference.csv")
+        written = (tmp_path / "fast.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        return written
+
+    def test_awkward_and_repeated_ids(self, tmp_path):
+        rows = [(q, s, 0.25 * (k % 5)) for k, (q, s) in enumerate(
+            (q, s) for q in AWKWARD_IDS for s in reversed(AWKWARD_IDS))]
+        rows += rows[:7]  # every id again, some pairs too
+        self.check(tmp_path, rows)
+        self.check(tmp_path, rows * 17)  # more lines than one write takes
+
+    def test_extreme_probabilities(self, tmp_path):
+        rows = [("q1", "s1", 5e-324), ("q1", "s2", 1e-05), ("q2", "s1", 0.0),
+                ("q2", "s2", 1.0), ("q3", "s1", np.float64(0.1) + np.float64(0.2))]
+        written = self.check(tmp_path, rows)
+        assert written.splitlines()[1:] == [
+            b"q1,s1,5e-324", b"q1,s2,1e-05", b"q2,s1,0.0", b"q2,s2,1.0",
+            b"q3,s1,0.30000000000000004"]
+
+    def test_no_rows_give_the_header_only(self, tmp_path):
+        assert self.check(tmp_path, []) == b"question_id,learner_id,probability\n"
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.text(min_size=1, max_size=6),
+                              st.text(min_size=1, max_size=6),
+                              st.floats(0.0, 1.0)), max_size=12))
+    def test_any_rows_match_the_per_row_writer(self, tmp_path_factory, rows):
+        self.check(tmp_path_factory.mktemp("predictions"), rows)
 
 
 class CsvCase(NamedTuple):

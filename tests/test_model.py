@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from conceptfit import (
     poisson_nll,
     predict_response_prob,
 )
+from conceptfit.model import _objective_of
 from oracles import naive_objective
 
 
@@ -185,6 +187,29 @@ class TestObjective:
         with pytest.raises(DimensionMismatchError) as err:
             objective(Y, B, S, H)
         assert err.value.axis == "questions"
+
+    def test_a_warm_kernel_allocates_no_grid_and_keeps_its_bits(self, rng):
+        # the kernel writes its Q x V rates and terms into work arrays it forms once
+        Q, N, V, K = 40, 6, 300, 3
+        states = [small_state(rng, Q, N, V, K) for _ in range(2)]
+        entries = [(i, j, int(rng.integers(2))) for i in range(Q) for j in range(N)
+                   if rng.random() < 0.5]
+        Y = GradedResponseSet(Q, N, entries)
+        B = WordCountMatrix(Q, [f"w{v}" for v in range(V)], rng.poisson(0.8, (Q, V)))
+        H = HyperParams(lam=0.3, gamma=0.3, eta=0.3, tau=2.0, num_concepts=K)
+        kernel = _objective_of(Y, B, H)
+        first = kernel(states[0])  # the warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            second = kernel(states[1])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < Q * V * np.dtype(float).itemsize
+        # no value depends on an earlier call's contents of the work arrays
+        assert (kernel(states[0]), kernel(states[1])) == (first, second)
+        assert (first, second) == tuple(objective(Y, B, S, H) for S in states)
 
 
 class TestPredictResponseProb:
