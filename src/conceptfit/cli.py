@@ -146,9 +146,8 @@ def cmd_fit(args):
     state, report = fit(
         _train_side(loaded.responses, args), word_counts, params, _config_from(args)
     )
-    archive = ModelArchive(state, params, tuple(vocabulary),
-                           tuple(loaded.question_ids), tuple(loaded.learner_ids),
-                           report)
+    archive = ModelArchive(state, params, vocabulary, loaded.question_ids,
+                           loaded.learner_ids, report)
     save_archive(archive, args.output)
     _print_fit_summary(args.output, report)
     return 0
@@ -227,9 +226,8 @@ def cmd_cv(args):
                                  folds_or_fraction, n_threads=args.threads)
     write_scores_csv(table, args.table)
     state, report = fit(loaded.responses, word_counts, best, config)
-    archive = ModelArchive(state, best, tuple(vocabulary),
-                           tuple(loaded.question_ids), tuple(loaded.learner_ids),
-                           report)
+    archive = ModelArchive(state, best, vocabulary, loaded.question_ids,
+                           loaded.learner_ids, report)
     save_archive(archive, args.output)
     print(
         f"best: lambda={best.lam} gamma={best.gamma} eta={best.eta} "

@@ -27,6 +27,7 @@ from .model import (
     HyperParams,
     WordCountMatrix,
     _check_count,
+    _check_names,
     _check_positive,
     inverse_logit,
 )
@@ -195,7 +196,11 @@ class ModelArchive:
     """Everything needed to reuse a fitted model, plus its fit report.
 
     ``params`` may be None for archives that hold generated ground-truth
-    factors rather than a fit.
+    factors rather than a fit. The parts check their own fields; the archive
+    owns the names and how the parts fit together: each name list is
+    distinct nonempty strings (``_check_names``), kept as a tuple, with one
+    name per column of T, row of W and column of C, and the params' concept
+    count is W's.
     """
 
     state: FactorState
@@ -207,9 +212,8 @@ class ModelArchive:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
-        object.__setattr__(self, "question_ids", tuple(self.question_ids))
-        object.__setattr__(self, "learner_ids", tuple(self.learner_ids))
+        for name in ("vocabulary", "question_ids", "learner_ids"):
+            object.__setattr__(self, name, _check_names(name, getattr(self, name)))
         if len(self.vocabulary) != self.state.num_words:
             raise ValidationError("vocabulary length does not match T")
         if len(self.question_ids) != self.state.num_questions:
@@ -266,31 +270,16 @@ def save_archive(archive, path):
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _typed(value, kind, name, path):
-    """``value`` if it is a JSON ``kind`` (bool, or int but not bool); else DataFormatError.
-
-    Checked rather than converted: ``bool("false")`` is True and ``int(1.9)`` is 1.
-    """
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        what = "boolean" if kind is bool else "integer"
-        raise DataFormatError(
-            f"archive field {name!r} must be a JSON {what}, got {value!r}", path)
-    return value
-
-
-def _strings(value, name, path):
-    """``value`` as a tuple if it is a JSON list of strings; else DataFormatError.
-
-    Checked rather than converted: ``tuple("ab")`` is ``('a', 'b')``.
-    """
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise DataFormatError(
-            f"archive field {name!r} must be a JSON list of strings, got {value!r}", path)
-    return tuple(value)
-
-
 def load_archive(path):
-    """Read an archive and re-validate every feasibility invariant."""
+    """Read an archive, rebuilding it through the types that own its rules.
+
+    The loader checks the file: JSON, an object, schema version 1, and a
+    dimensions block that matches the arrays. Each field is checked by the
+    type it builds: a factor by ``FactorState``, whose ValidationError
+    stands, the rest by ``HyperParams``, ``FitReport`` and ``ModelArchive``.
+    A missing key, a ragged or mistyped value, or a field those three reject
+    is a DataFormatError naming the file.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -302,45 +291,24 @@ def load_archive(path):
         raise DataFormatError(
             f"unsupported schema_version {doc.get('schema_version')!r}", path
         )
-    required = [
-        "dimensions", "hyperparameters", "W", "mu", "C", "T",
-        "vocabulary", "question_ids", "learner_ids", "fit_report",
-    ]
-    for key in required:
-        if key not in doc:
-            raise DataFormatError(f"archive is missing field {key!r}", path)
-    dims, hyper, fr = doc["dimensions"], doc["hyperparameters"], doc["fit_report"]
+    state = None
     try:
-        # a K x 0 matrix arrives as K empty lists; asarray turns that into (K, 0)
-        state = FactorState(
-            doc["W"], doc["mu"], doc["C"], np.asarray(doc["T"], dtype=float)
-        )
-        try:
-            params = None
-            if hyper is not None:
-                params = HyperParams(
-                    lam=hyper["lambda"],
-                    gamma=hyper["gamma"],
-                    eta=hyper["eta"],
-                    tau=hyper["tau"],
-                    num_concepts=_typed(hyper["num_concepts"], int, "num_concepts", path),
-                    epsilon=hyper["epsilon"],
-                )
-            report = FitReport(
-                tuple(fr["objective_trace"]),
-                _typed(fr["converged"], bool, "converged", path),
-                _typed(fr["outer_iterations"], int, "outer_iterations", path),
-                0.0,
-            )
-        except ValidationError as exc:
-            # a stored setting out of range, such as "lambda": 0 or true, is a
-            # malformed field; only the factors' feasibility check above
-            # stays a ValidationError
-            raise DataFormatError(f"malformed archive field: {exc}", path) from None
+        state = FactorState(doc["W"], doc["mu"], doc["C"], doc["T"])
+        dims, hyper, fr = doc["dimensions"], doc["hyperparameters"], doc["fit_report"]
+        params = None if hyper is None else HyperParams(
+            lam=hyper["lambda"], gamma=hyper["gamma"], eta=hyper["eta"],
+            tau=hyper["tau"], num_concepts=hyper["num_concepts"],
+            epsilon=hyper["epsilon"])
+        report = FitReport(fr["objective_trace"], fr["converged"],
+                           fr["outer_iterations"], 0.0)
+        archive = ModelArchive(state, params, doc["vocabulary"], doc["question_ids"],
+                               doc["learner_ids"], report)
     except KeyError as exc:
         raise DataFormatError(f"archive is missing field {exc.args[0]!r}", path) from None
-    except (TypeError, ValueError) as exc:
-        # ragged arrays, and numbers given as strings or objects
+    except (TypeError, ValueError, ValidationError) as exc:
+        if state is None and isinstance(exc, ValidationError):
+            raise  # the factors' own feasibility error
+        # ragged arrays, values of the wrong type, and fields out of range
         raise DataFormatError(f"malformed archive field: {exc}", path) from None
     expected = {
         "num_questions": state.num_questions,
@@ -353,13 +321,7 @@ def load_archive(path):
             f"dimensions block {dims} does not match the stored arrays {expected}",
             path,
         )
-    ids = [_strings(doc[key], key, path)
-           for key in ("vocabulary", "question_ids", "learner_ids")]
-    try:
-        return ModelArchive(state, params, *ids, report)
-    except ValidationError as exc:
-        # an id list or the concept count that disagrees with the factors
-        raise DataFormatError(f"malformed archive field: {exc}", path) from None
+    return archive
 
 
 def _dot_quote(label):
@@ -596,10 +558,10 @@ def read_grid_csv(path):
     def check_header(header, path):
         if header is None:
             raise DataFormatError("empty grid file", path, (1,))
-        repeated = next((h for k, h in enumerate(header) if h in header[:k]), None)
-        if repeated is not None:
-            raise DataFormatError(f"grid header repeats the column {repeated!r}",
-                                  path, (1,))
+        try:
+            _check_names("grid header", header)
+        except ValidationError as exc:
+            raise DataFormatError(str(exc), path, (1,)) from None
         allowed = set(_GRID_COLUMNS) | {"epsilon"}
         if set(header) - allowed or not set(_GRID_COLUMNS) <= set(header):
             raise DataFormatError(

@@ -46,7 +46,10 @@ evaluates into work arrays of its own, so it serves one thread at a time.
 """
 
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -89,8 +92,32 @@ def _check_positive(name, value):
         raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _readonly(arr):
+def _check_names(name, values):
+    """values as a tuple of distinct nonempty strings; else ValidationError naming ``name``.
+
+    The one rule for a vocabulary and for question and learner ids. A bare
+    string is no list of names: ``tuple("ab")`` is ``('a', 'b')``.
+    """
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValidationError(f"{name} must be a list of strings, got {values!r}")
+    names = tuple(values)
+    if not all(map(isinstance, names, repeat(str))):
+        bad = next(v for v in names if not isinstance(v, str))
+        raise ValidationError(f"{name} must hold only strings, got {bad!r}")
+    distinct = set(names)
+    if "" in distinct:
+        raise ValidationError(f"{name} must not hold an empty name")
+    if len(distinct) != len(names):
+        repeated = next(v for v, n in Counter(names).items() if n > 1)
+        raise ValidationError(f"{name} repeats the name {repeated!r}")
+    return names
+
+
+def _readonly(name, arr):
+    """arr as a read-only float array, if every entry is finite."""
     arr = np.array(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -123,16 +150,23 @@ class GradedResponseSet:
         return self.grades.size
 
     def triples(self, indices=None):
-        """Observed entries as (i, j, y) int tuples, optionally only the given ones."""
-        sel = slice(None) if indices is None else np.asarray(indices, dtype=np.int64)
+        """Observed entries as (i, j, y) int tuples, optionally only the given ones.
+
+        Indices must be integers in [0, num_observed); see ``_checked_index``.
+        """
+        sel = slice(None) if indices is None else _checked_index(
+            indices, self.num_observed, "entry")
         return list(zip(self.question_idx[sel].tolist(), self.learner_idx[sel].tolist(),
                         self.grades[sel].tolist()))
 
     entries = property(triples, doc="All observed entries as a list of (i, j, y) int tuples.")
 
     def subset(self, indices):
-        """New response set over the same grid keeping only the given entries."""
-        sel = np.asarray(indices, dtype=np.int64)
+        """New response set over the same grid keeping the given entries.
+
+        Indices are checked as in ``triples``.
+        """
+        sel = _checked_index(indices, self.num_observed, "entry")
         stacked = np.stack(
             [self.question_idx[sel], self.learner_idx[sel], self.grades[sel]], axis=1
         )
@@ -174,15 +208,16 @@ def _entry_arrays(entries, num_questions, num_learners, label):
 
 
 class WordCountMatrix:
-    """Bag-of-words counts per question over an ordered vocabulary."""
+    """Bag-of-words counts per question over an ordered vocabulary.
+
+    Owns its fields' rules: a count >= 1 of questions, a vocabulary of
+    distinct nonempty strings (``_check_names``), and nonnegative integer
+    counts of shape (num_questions, vocabulary size).
+    """
 
     def __init__(self, num_questions, vocabulary, counts):
         self.num_questions = _check_count("num_questions", num_questions, 1)
-        vocab = tuple(vocabulary)
-        if any(not isinstance(w, str) or not w for w in vocab):
-            raise ValidationError("vocabulary words must be nonempty strings")
-        if len(set(vocab)) != len(vocab):
-            raise ValidationError("vocabulary words must be unique")
+        vocab = _check_names("vocabulary", vocabulary)
         arr = np.asarray(counts)
         if arr.shape != (self.num_questions, len(vocab)):
             raise DimensionMismatchError(
@@ -207,14 +242,12 @@ class FactorState:
 
     W (questions x concepts) and T (concepts x words) are entrywise
     nonnegative; mu (per-question difficulty) and C (concepts x learners)
-    are unconstrained in sign.
+    are unconstrained in sign. Owns the factors' rules: shapes that agree
+    (else DimensionMismatchError), finite entries, nonnegative W and T.
     """
 
     def __init__(self, W, mu, C, T):
-        W = _readonly(W)
-        mu = _readonly(mu)
-        C = _readonly(C)
-        T = _readonly(T)
+        W, mu, C, T = map(_readonly, ("W", "mu", "C", "T"), (W, mu, C, T))
         if W.ndim != 2 or W.shape[1] < 1:
             raise ValidationError("W must be a Q x K matrix with K >= 1")
         Q, K = W.shape
@@ -275,7 +308,12 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Objective value after each outer sweep plus convergence bookkeeping."""
+    """Objective value after each outer sweep plus convergence bookkeeping.
+
+    Owns its fields' rules: a finite trace value per outer iteration, a count
+    >= 0 of them, a bool ``converged`` (not converted: ``bool("false")`` is
+    True) and a ``wall_time`` >= 0.
+    """
 
     objective_trace: tuple
     converged: bool
@@ -283,9 +321,11 @@ class FitReport:
     wall_time: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "objective_trace", tuple(float(v) for v in self.objective_trace)
-        )
+        object.__setattr__(self, "objective_trace", tuple(map(float, self.objective_trace)))
+        if not all(map(math.isfinite, self.objective_trace)):
+            raise ValidationError("objective_trace must be finite")
+        if not isinstance(self.converged, (bool, np.bool_)):
+            raise ValidationError(f"converged must be a bool, got {self.converged!r}")
         object.__setattr__(self, "outer_iterations",
                            _check_count("outer_iterations", self.outer_iterations, 0))
         if len(self.objective_trace) != self.outer_iterations:
@@ -295,7 +335,7 @@ class FitReport:
 
 
 def _array_or_float(val):
-    return val if isinstance(val, np.ndarray) else float(val)
+    return val if np.ndim(val) else float(val)
 
 
 def inverse_logit(x):
@@ -303,17 +343,14 @@ def inverse_logit(x):
 
     With e = exp(-|x|) it is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
     so exp never sees a positive argument and cannot overflow; safe well past
-    |x| = 700. NaN in gives NaN out. For an array the numerator is picked
-    with ``np.where`` and divided once, which keeps every call on numpy's
-    vectorised loops instead of gathering through boolean masks; a scalar
-    is picked in Python, since ``np.where`` would make it a 0-d array whose
-    division costs a ufunc call.
+    |x| = 700. NaN in gives NaN out. The numerator is picked with
+    ``np.where`` and divided once, which keeps every call on numpy's
+    vectorised loops instead of gathering through boolean masks. An array
+    gives an array, a scalar a float.
     """
     arr = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(arr))
-    if arr.ndim == 0:
-        return float((1.0 if arr >= 0 else e) / (1.0 + e))
-    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return _array_or_float(np.where(arr >= 0, 1.0, e) / (1.0 + e))
 
 
 def _signed_precision(y, tau):
@@ -484,10 +521,14 @@ def objective(responses, word_counts, state, params):
 
 
 def _checked_index(idx, size, axis):
-    """idx as an integer array, checked against [0, size)."""
+    """idx as an int64 array, checked against [0, size).
+
+    An empty selection, such as ``[]`` (a float array to numpy), selects nothing.
+    """
     arr = np.asarray(idx)
-    if arr.dtype.kind not in "iu":  # a bool, a float or a string is no index
+    if arr.size and arr.dtype.kind not in "iu":  # a bool, a float or a string is no index
         raise ValidationError(f"{axis} index must be an integer, got {idx!r}")
+    arr = arr.astype(np.int64, copy=False)
     outside = (arr < 0) | (arr >= size)
     if outside.any():
         raise ValidationError(

@@ -53,10 +53,11 @@ one block:
   ``np.bincount``; the latter is formed on first use per shape of the
   slacks;
 - the counts as floats and their scored floors;
-- the work arrays behind the Q x V Poisson grids, of the counts' shape:
-  raw rates, floored rates or ratios, and terms. Every W and T evaluation
-  writes into them with ``out=``, by the same operations and so to the
-  same bits as fresh arrays, and allocates no Q x V array.
+- two work arrays of the counts' shape behind the Q x V Poisson grids: the
+  raw rates, whose array then takes the terms, and the floored rates or
+  ratios. Every W and T evaluation writes into them with ``out=``, by the
+  same operations and so to the same bits as fresh arrays, and allocates
+  no Q x V array.
 
 What depends on the factors is formed once per block, that is once per
 sweep of a fit:
@@ -468,14 +469,14 @@ class _FitBlocks:
 
     @cached_property
     def _poisson_grids(self):
-        """Work arrays of the counts' shape: raw rates, floored rates or ratios, terms.
+        """Two work arrays of the counts' shape: raw rates, then terms; rates or ratios.
 
         Every W and T block evaluation of the fit writes into them, so none
         allocates a Q x V array. Nothing returned from an evaluation is one
         of them.
         """
         shape = self._counts[0].shape
-        return np.empty(shape), np.empty(shape), np.empty(shape)
+        return np.empty(shape), np.empty(shape)
 
     def w(self, c_aug, T, lam):
         """The [W | mu] block at knowledge ``c_aug`` and profiles ``T``."""
@@ -489,12 +490,12 @@ class _FitBlocks:
         ones = np.ones((T.shape[1], 1))  # sums the count terms per row
 
         def rates(X):
-            """The raw rates at X, in the first work array, and the other two."""
-            raw, a, terms = self._poisson_grids
-            return np.matmul(X[..., :-1], T, out=raw), a, terms
+            """The raw rates at X, in the first work array, and the second."""
+            raw, a = self._poisson_grids
+            return np.matmul(X[..., :-1], T, out=raw), a
 
-        def poisson(raw, a, terms):
-            return _poisson_terms(counts, _floored_rate(raw, floors, a), terms) @ ones
+        def poisson(raw, a):
+            return _poisson_terms(counts, _floored_rate(raw, floors, a), raw) @ ones
 
         def value(X):
             bern = bern_value(X @ c_aug)
@@ -507,10 +508,10 @@ class _FitBlocks:
             g = S @ c_aug.T
             if not has_words:
                 return bern, g
-            raw, a, terms = rates(X)
+            raw, a = rates(X)
             r = _poisson_ratio(counts, _floored_rate(raw, epsilon, a), a)
             g[..., :-1] += row_sums - r @ T.T
-            return bern + poisson(raw, a, terms), g
+            return bern + poisson(raw, a), g
 
         def prox(point, step):
             return _prox_w(point, step * lam)
@@ -559,22 +560,22 @@ class _FitBlocks:
             col_sums = col_sums[:, None]
 
         def rates(T):
-            """The raw rates at T, in the first work array, and the other two."""
-            raw, a, terms = self._poisson_grids
-            return np.matmul(W, T, out=raw), a, terms
+            """The raw rates at T, in the first work array, and the second."""
+            raw, a = self._poisson_grids
+            return np.matmul(W, T, out=raw), a
 
-        def value_at(T, raw, a, terms):
+        def value_at(T, raw, a):
             a = _floored_rate(raw, floors, a)
-            return ones @ _poisson_terms(counts, a, terms) + half_eta @ (T * T)
+            return ones @ _poisson_terms(counts, a, raw) + half_eta @ (T * T)
 
         def value(T):
             return value_at(T, *rates(T))
 
         def value_and_gradient(T):
-            raw, a, terms = rates(T)
+            raw, a = rates(T)
             r = _poisson_ratio(counts, _floored_rate(raw, epsilon, a), a)
             g = col_sums - W.T @ r + eta * T
-            return value_at(T, raw, a, terms), g
+            return value_at(T, raw, a), g
 
         def prox(point, step):
             return prox_nonneg(point)

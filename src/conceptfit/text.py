@@ -23,14 +23,14 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyVocabularyError, ValidationError
-from .model import WordCountMatrix, _check_count
+from .model import WordCountMatrix, _check_count, _check_names
 
 __all__ = [
     "Corpus",
@@ -127,29 +127,24 @@ class _TermCounts(NamedTuple):
 class Corpus:
     """One document per question: (question_id, text or term tuple) pairs.
 
-    The term counts are formed once, on first use, and kept for the
-    corpus's life; the documents are immutable, so they cannot go stale.
+    Owns the rules of its documents: the question ids distinct nonempty
+    strings (``_check_names``), and each document a string of text or an
+    iterable of nonempty string terms, kept as a tuple. The term counts are
+    formed once, on first use, and kept for the corpus's life; the
+    documents are immutable, so they cannot go stale.
     """
 
     documents: tuple
 
     def __post_init__(self):
-        docs = []
-        for entry in self.documents:
-            qid, content = entry
-            if not isinstance(qid, str) or not qid:
-                raise ValidationError("question ids must be nonempty strings")
-            if not isinstance(content, str):
-                content = tuple(content)
-                if any(not isinstance(t, str) or not t for t in content):
-                    raise ValidationError(
-                        f"terms for {qid!r} must be nonempty strings"
-                    )
-            docs.append((qid, content))
-        ids = [qid for qid, _ in docs]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate question ids in corpus")
-        object.__setattr__(self, "documents", tuple(docs))
+        docs = tuple((qid, content if isinstance(content, str) else tuple(content))
+                     for qid, content in self.documents)
+        _check_names("question_ids", [qid for qid, _ in docs])
+        for qid, content in docs:
+            if not isinstance(content, str) and (
+                    not all(map(isinstance, content, repeat(str))) or "" in content):
+                raise ValidationError(f"terms for {qid!r} must be nonempty strings")
+        object.__setattr__(self, "documents", docs)
 
     @property
     def question_ids(self):

@@ -1,8 +1,9 @@
-"""Every public count, seed and positive number is held to one rule per kind.
+"""Every public count, seed, positive number and name list keeps one rule per kind.
 
 A count is an integer at or above its least value, a seed an integer >= 0,
 and a positive number finite and > 0. A bool is none of these, and numpy
-integers and floats pass as their Python counterparts.
+integers and floats pass as their Python counterparts. A list of names is
+distinct nonempty strings.
 """
 
 import math
@@ -18,6 +19,7 @@ from conceptfit import (
     FitReport,
     GradedResponseSet,
     HyperParams,
+    ModelArchive,
     StopWordList,
     ValidationError,
     WordCountMatrix,
@@ -153,3 +155,51 @@ def test_a_numpy_count_is_stored_as_an_int():
     Y = GradedResponseSet(np.int64(2), np.int64(3), [(0, 0, 1)])
     assert type(Y.num_questions) is int and type(Y.num_learners) is int
     assert type(WordCountMatrix(np.int64(2), ["a"], np.ones((2, 1))).num_questions) is int
+
+
+def archive_with(**names):
+    ids = dict(vocabulary=["a", "b"], question_ids=["q1", "q2", "q3"],
+               learner_ids=["s1", "s2", "s3", "s4"])
+    return ModelArchive(STATE, None, **{**ids, **names},
+                        report=FitReport((), False, 0, 0.0))
+
+
+# (where, the name its message gives, names that pass, call with the names)
+NAME_SITES = [
+    ("WordCountMatrix", "vocabulary", ["a", "b"],
+     lambda v: WordCountMatrix(3, v, np.ones((3, 2)))),
+    ("Corpus", "question_ids", ["q1", "q2"],
+     lambda v: Corpus(tuple((q, "alpha beta") for q in v))),
+    ("ModelArchive", "vocabulary", ["a", "b"], lambda v: archive_with(vocabulary=v)),
+    ("ModelArchive", "question_ids", ["q1", "q2", "q3"],
+     lambda v: archive_with(question_ids=v)),
+    ("ModelArchive", "learner_ids", ["s1", "s2", "s3", "s4"],
+     lambda v: archive_with(learner_ids=v)),
+]
+
+
+def bad_names(site):
+    """Each way ``site``'s good names can break the rule, by id."""
+    where, _, good, _ = site
+    bad = {"repeated": good[:-1] + good[:1], "empty": good[:-1] + [""],
+           "non-string": good[:-1] + [1]}
+    if where != "Corpus":  # a corpus takes its ids from its documents
+        bad.update({"bare-string": "x" * len(good), "number": 5})
+    return bad.items()
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(site[1], site[3], value, id=f"{site_id(site)}-{kind}")
+    for site in NAME_SITES for kind, value in bad_names(site)
+])
+def test_a_list_of_names_outside_the_rule_is_rejected(name, call, value):
+    # a repeated or empty id passed a model archive, and a bare string of
+    # the right length was split into one name per character
+    with pytest.raises(ValidationError, match=f"^{name} "):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", [(site[3], site[2]) for site in NAME_SITES],
+                         ids=[site_id(site) for site in NAME_SITES])
+def test_distinct_nonempty_names_are_taken(call, value):
+    call(value)

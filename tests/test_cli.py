@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +128,24 @@ def test_export_graph_both_formats(sim_files, tmp_path):
     assert {n["type"] for n in doc["nodes"]} == {"question", "concept"}
 
 
+def test_a_baseline_archive_exports_its_concepts_without_keywords(sim_files, tmp_path):
+    # over an empty vocabulary DOT labels each concept by its number, and
+    # JSON lists no keywords for it
+    archive = tmp_path / "baseline.json"
+    assert run("fit-baseline", "--responses", sim_files["responses"], "--lambda", "0.2",
+               "--gamma", "0.2", "--tau", "2.0", "-k", "2", "--max-outer", 2,
+               "--output", archive) == 0
+    dot, js = tmp_path / "g.dot", tmp_path / "g.json"
+    assert run("export-graph", "--archive", archive, "--format", "dot",
+               "--output", dot) == 0
+    assert run("export-graph", "--archive", archive, "--format", "json",
+               "--output", js) == 0
+    circles = [line for line in dot.read_text().splitlines() if "shape=circle" in line]
+    assert circles == [f'  c{k} [shape=circle, label="concept {k + 1}"];' for k in range(2)]
+    nodes = json.loads(js.read_text())["nodes"]
+    assert [n["keywords"] for n in nodes if n["type"] == "concept"] == [[], []]
+
+
 def test_cv_writes_table_and_best_archive(sim_files, tmp_path):
     grid = tmp_path / "grid.csv"
     grid.write_text(
@@ -184,6 +204,49 @@ def test_archive_with_a_string_for_a_bool_exits_with_one_error_line(sim_files, t
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "converged" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def predict_on_edited_truth(sim_files, tmp_path, capsys, edit):
+    """Exit code and stderr of ``predict`` on the simulated truth archive after ``edit``."""
+    archive = tmp_path / "m.json"
+    doc = json.loads(Path(sim_files["truth"]).read_text())
+    edit(doc)
+    archive.write_text(json.dumps(doc))
+    entries = tmp_path / "e.csv"
+    entries.write_text("question_id,learner_id\nq0001,s0001\nq0002,s0002\n")
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    code = run("predict", "--archive", archive, "--entries", entries, "--tau", "2.0",
+               "--output", out)
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["vocabulary", "question_ids", "learner_ids"])
+@pytest.mark.parametrize("kind", ["repeated", "empty"])
+def test_predict_on_an_archive_with_a_bad_id_list_exits_with_one_error_line(
+        sim_files, tmp_path, capsys, field, kind):
+    # with question ids q0001, q0001 predict scored q0001 by the second row
+    def edit(doc):
+        doc[field][1] = doc[field][0] if kind == "repeated" else ""
+
+    code, err = predict_on_edited_truth(sim_files, tmp_path, capsys, edit)
+    assert code == 1
+    assert err.startswith("error: ") and field in err and "m.json" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_predict_on_an_archive_with_non_finite_factors_exits_with_one_error_line(
+        sim_files, tmp_path, capsys):
+    # json reads NaN and Infinity, and predict wrote nan probabilities
+    def edit(doc):
+        doc["W"][0][0] = math.nan
+        doc["C"][1][0] = math.inf
+
+    code, err = predict_on_edited_truth(sim_files, tmp_path, capsys, edit)
+    assert code == 1
+    assert err.startswith("error: ") and "must be finite" in err
     assert len(err.strip().splitlines()) == 1
 
 

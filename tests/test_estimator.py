@@ -6,6 +6,7 @@ import pytest
 from pytest import approx
 
 from conceptfit import (
+    DivergenceError,
     FistaConfig,
     FitConfig,
     GradedResponseSet,
@@ -340,3 +341,59 @@ class TestSetUpOncePerFit:
         Y, B, params, state, report = fit_with_or_without_words(words, sweeps)
         assert report.outer_iterations == sweeps
         assert objective(Y, B, state, params) == report.objective_trace[-1]
+
+
+def nan_from_call(monkeypatch, first_nan):
+    """Make each fit's objective kernel return nan from its ``first_nan``-th call on."""
+    import conceptfit.estimator as estimator
+
+    real = estimator._objective_of
+
+    def patched(*args):
+        kernel, calls = real(*args), []
+
+        def value(state):
+            calls.append(state)
+            return math.nan if len(calls) >= first_nan else kernel(state)
+
+        return value
+
+    monkeypatch.setattr(estimator, "_objective_of", patched)
+
+
+def same_state(a, b):
+    return all(x.tobytes() == y.tobytes()
+               for x, y in ((a.W, b.W), (a.mu, b.mu), (a.C, b.C), (a.T, b.T)))
+
+
+class TestDivergence:
+    def test_a_non_finite_start_carries_the_initial_state_and_an_empty_report(
+            self, monkeypatch):
+        Y, B, params = small_problem()
+        nan_from_call(monkeypatch, 1)
+        with pytest.raises(DivergenceError) as err:
+            fit(Y, B, params, FitConfig(rng_seed=4))
+        init = initialize(Y.num_questions, Y.num_learners, B.num_words,
+                          params.num_concepts, 4)
+        assert same_state(err.value.state, init)
+        report = err.value.report
+        assert report.objective_trace == () and report.outer_iterations == 0
+        assert report.converged is False
+
+    # call 3 follows the second sweep; call 8 is the fit's first extrapolated
+    # guess, which the nan turns down before the sweep after it diverges
+    @pytest.mark.parametrize("first_nan", [3, 8])
+    def test_a_non_finite_sweep_carries_the_last_finite_state_and_the_partial_report(
+            self, monkeypatch, first_nan):
+        Y, B, params = small_problem()
+        nan_from_call(monkeypatch, first_nan)
+        with pytest.raises(DivergenceError) as err:
+            fit(Y, B, params)
+        report = err.value.report
+        assert report.outer_iterations == len(report.objective_trace) >= 1
+        assert report.converged is False
+        monkeypatch.undo()
+        capped, capped_report = fit(
+            Y, B, params, FitConfig(max_outer_iterations=report.outer_iterations))
+        assert same_state(err.value.state, capped)
+        assert capped_report.objective_trace == report.objective_trace

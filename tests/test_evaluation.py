@@ -298,6 +298,26 @@ class TestCrossValidate:
             cross_validate(self.Y, self.B, [self.params()], self.cfg, 0.2,
                            n_threads=n_threads)
 
+    def test_a_diverging_grid_point_scores_none_and_all_diverging_raise(self, monkeypatch):
+        # every objective of a fit at lam=0.1 is nan, so its fit diverges at
+        # the start; the serial run scores that point and skips it in the choice
+        import conceptfit.estimator as estimator
+
+        real = estimator._objective_of
+
+        def patched(responses, word_counts, params):
+            kernel = real(responses, word_counts, params)
+            return (lambda state: math.nan) if params.lam == 0.1 else kernel
+
+        monkeypatch.setattr(estimator, "_objective_of", patched)
+        diverging, good = self.params(lam=0.1), self.params(lam=0.3)
+        best, table = cross_validate(self.Y, self.B, [diverging, good], self.cfg, 0.2)
+        assert best == good
+        assert (table[0].score, table[0].converged) == (None, False)
+        assert table[1].score is not None
+        with pytest.raises(ConceptfitError, match="every grid point diverged"):
+            cross_validate(self.Y, self.B, [diverging, diverging], self.cfg, 0.2)
+
 
 class TestTopKeywords:
     def test_single_concept_ordering(self):

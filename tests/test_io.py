@@ -326,6 +326,41 @@ class TestArchive:
             load_archive(path)
         assert err.value.path == str(path)
 
+    @pytest.mark.parametrize("field", ["vocabulary", "question_ids", "learner_ids"])
+    @pytest.mark.parametrize("kind", ["repeated", "empty"])
+    def test_id_lists_are_distinct_nonempty_names(self, tmp_path, rng, field, kind):
+        # a repeated question id loaded, and predict scored it with the
+        # factors of the last row that carried it
+        path = tmp_path / "a.json"
+        save_archive(toy_archive(rng), path)
+        doc = json.loads(path.read_text())
+        doc[field][-1] = doc[field][0] if kind == "repeated" else ""
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=field) as err:
+            load_archive(path)
+        assert err.value.path == str(path)
+
+    def test_a_non_finite_trace_value_is_a_data_format_error(self, tmp_path, rng):
+        path = tmp_path / "a.json"
+        save_archive(toy_archive(rng), path)
+        doc = json.loads(path.read_text())
+        doc["fit_report"]["objective_trace"][1] = math.nan
+        path.write_text(json.dumps(doc))  # json writes NaN, and reads it back
+        with pytest.raises(DataFormatError, match="objective_trace") as err:
+            load_archive(path)
+        assert err.value.path == str(path)
+
+    @pytest.mark.parametrize("factor", ["W", "mu", "C", "T"])
+    def test_a_non_finite_factor_stays_a_validation_error(self, tmp_path, rng, factor):
+        path = tmp_path / "a.json"
+        save_archive(toy_archive(rng), path)
+        doc = json.loads(path.read_text())
+        row = doc[factor] if factor == "mu" else doc[factor][0]
+        row[0] = math.inf
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^{factor} must be finite"):
+            load_archive(path)
+
     def test_unsupported_schema_rejected(self, tmp_path, rng):
         archive = toy_archive(rng)
         path = tmp_path / "a.json"

@@ -62,6 +62,21 @@ class TestInverseLogit:
         out = inverse_logit(np.array([0.0, math.log(3.0)]))
         assert out == approx([0.5, 0.75])
 
+    def test_a_scalar_takes_the_array_path_and_keeps_the_former_scalar_bits(self):
+        xs = np.concatenate([np.linspace(-800.0, 800.0, 20_001),
+                             [0.0, -0.0, 1e-300, -1e-300, 709.7, -745.2]])
+
+        def former_scalar(x):  # the scalar branch inverse_logit had before
+            e = np.exp(-np.abs(np.asarray(x)))
+            return float((1.0 if x >= 0 else e) / (1.0 + e))
+
+        got = [inverse_logit(x) for x in xs.tolist()]
+        assert all(type(p) is float for p in got)
+        assert np.array(got).tobytes() == np.array(
+            [former_scalar(x) for x in xs.tolist()]).tobytes()
+        assert np.array(got).tobytes() == inverse_logit(xs).tobytes()
+        assert type(inverse_logit(0.0)) is float and inverse_logit(0.0) == 0.5
+
 
 class TestBernoulliNll:
     def test_half_probability_cases(self):
@@ -331,6 +346,31 @@ class TestDomainTypes:
         assert sub.cells.tolist() == [0, 4]
         assert np.array_equal(sub.cells, sub.question_idx * 3 + sub.learner_idx)
 
+    @pytest.mark.parametrize("select, message", [
+        pytest.param(lambda Y: Y.subset([-1]), "entry index -1 out of range",
+                     id="subset-negative"),
+        pytest.param(lambda Y: Y.subset([0.7]), "entry index must be an integer",
+                     id="subset-fraction"),
+        pytest.param(lambda Y: Y.triples([-1, 2.9]), "entry index must be an integer",
+                     id="triples-negative-and-fraction"),
+        pytest.param(lambda Y: Y.subset([5]), r"entry index 5 out of range \[0, 3\)",
+                     id="subset-past-the-end"),
+        pytest.param(lambda Y: Y.triples(np.array([True, False])),
+                     "entry index must be an integer", id="triples-bools"),
+    ])
+    def test_an_entry_selection_is_held_to_the_index_rule(self, select, message):
+        # [-1] kept the last entry, [0.7] the first, [-1, 2.9] gave the last
+        # entry twice, and [5] raised a bare numpy IndexError
+        Y = GradedResponseSet(2, 3, [(0, 0, 1), (0, 2, 0), (1, 1, 1)])
+        with pytest.raises(ValidationError, match=message):
+            select(Y)
+
+    def test_an_empty_entry_selection_selects_nothing(self):
+        Y = GradedResponseSet(2, 3, [(0, 0, 1), (0, 2, 0), (1, 1, 1)])
+        assert Y.triples([]) == [] and Y.triples(np.array([], dtype=int)) == []
+        with pytest.raises(ValidationError, match="at least one entry"):
+            Y.subset([])
+
     def test_word_counts_validation(self):
         with pytest.raises(ValidationError):
             WordCountMatrix(1, ["a", "a"], [[1, 2]])
@@ -344,6 +384,17 @@ class TestDomainTypes:
             FactorState([[-0.1]], [0.0], [[1.0]], np.zeros((1, 1)))
         with pytest.raises(ValidationError):
             FactorState([[0.1]], [0.0], [[1.0]], [[-1.0]])
+
+    @pytest.mark.parametrize("factor", ["W", "mu", "C", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_factor_state_rejects_a_non_finite_entry(self, factor, value):
+        # json reads NaN and Infinity, and predict wrote nan probabilities
+        parts = dict(W=[[1.0, 0.5]], mu=[0.0], C=[[1.0], [2.0]], T=[[1.0], [0.0]])
+        bad = np.array(parts[factor])
+        bad.flat[-1] = value
+        parts[factor] = bad
+        with pytest.raises(ValidationError, match=f"^{factor} must be finite"):
+            FactorState(**parts)
 
     def test_factor_state_immutable(self, rng):
         S = small_state(rng)
@@ -368,3 +419,14 @@ class TestDomainTypes:
     def test_fit_report_trace_length(self):
         with pytest.raises(ValidationError):
             FitReport((1.0, 2.0), True, 3, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_fit_report_rejects_a_non_finite_trace_value(self, value):
+        with pytest.raises(ValidationError, match="^objective_trace must be finite"):
+            FitReport((1.0, value), True, 2, 0.0)
+
+    @pytest.mark.parametrize("value", ["false", 1, 0.0, None])
+    def test_fit_report_converged_is_checked_not_converted(self, value):
+        # bool("false") is True
+        with pytest.raises(ValidationError, match="^converged must be a bool"):
+            FitReport((), value, 0, 0.0)

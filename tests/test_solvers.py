@@ -806,3 +806,17 @@ class TestCountedCellsOnTheRateFloor:
         G = t_block_subproblem(counts, W, eta).smooth_gradient(T)
         want = W.T @ (1.0 - counts / np.maximum(W @ T, 1e-6)) + eta * T
         assert np.all(np.abs(G - want) <= 1e-12 * np.abs(want).max())
+
+
+def test_a_gradient_of_the_wrong_sign_ends_at_the_step_floor_on_the_start(rng):
+    # every candidate along +x climbs faster than the backtracking slack allows,
+    # so each halving fails its bound until the step reaches the floor, where
+    # the line search gives up and accepts; the climb is never kept as the best
+    a = 1e6
+    x0 = rng.standard_normal(4)
+    start = 0.5 * a * float(x0 @ x0)
+    result = fista_minimize(lambda x: -a * x, lambda x: 0.5 * a * float(x @ x),
+                            identity_prox, x0)
+    assert same_bits(result.solution, x0)
+    assert result.final_objective == start
+    assert result.first_step.max() <= _STEP_FLOOR
