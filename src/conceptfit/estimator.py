@@ -9,6 +9,17 @@ starts from the steps its rows accepted first in the block's previous solve
 of the same fit; the first sweep starts them at 1.0. The full objective is
 recorded after each sweep.
 
+A sweep over a nonempty vocabulary ends, after its T solve and before its
+objective, with an exact scale step per concept (``_rebalanced``). W C and
+W T, and so both likelihoods, stay the same when concept k's column of W is
+multiplied by s > 0 and its rows of C and T are divided by s; only the
+penalties move, and their minimiser along that direction has a closed form.
+No block step moves along it, so block descent alone creeps along it, the
+more slowly the more words there are. The step never raises the objective,
+since s = 1 is one of its candidates. A grades-only fit skips it: its scale
+only trades the l1 term on W against the ridge on C, and taking that step
+there left more fits at the sweep cap, not fewer.
+
 The block solves are only as accurate as the outer progress calls for
 (block descent needs only a sufficient decrease per block; Xu & Yin, SIAM
 J. Imaging Sci. 2013, and the BCD of SPARFA, Lan, Waters, Studer &
@@ -109,6 +120,9 @@ def fit(responses, word_counts, params, config=None):
     run to 0.1 times the last sweep's relative decrease (1e-3 in the first
     sweep), never tighter than ``config.inner.relative_tolerance``, and
     only a sweep solved at that tolerance can end the fit as converged.
+    Every sweep over a nonempty vocabulary ends with the exact per-concept
+    scale step of the module docstring, which never raises the objective;
+    a grades-only fit skips it.
     Returns (FactorState, FitReport). Raises DivergenceError, carrying the
     last finite state before any extrapolation, if a sweep ever produces a
     non-finite objective.
@@ -200,8 +214,9 @@ def _descend(responses, word_counts, state, params, config):
         W, mu = w_aug[:, :-1], w_aug[:, -1]
         C = solve("C", blocks.c(W, mu, params.gamma), state.C)
         T = state.T
-        if T.size:  # an empty vocabulary leaves no T block to solve
+        if T.size:  # an empty vocabulary leaves no T block and no scale to move
             T = solve("T", blocks.t(W, params.eta), T)
+            W, C, T = _rebalanced(W, C, T, params)
 
         state = FactorState(W, mu, C, T)
         current = objective(state)
@@ -230,3 +245,22 @@ def _descend(responses, word_counts, state, params, config):
                        time.perf_counter() - start)
     return state, report
 
+
+def _rebalanced(W, C, T, params):
+    """(W, C, T) with each concept moved to the scale that minimises the penalties.
+
+    Multiplying concept k's column of W by s > 0 and dividing its rows of C
+    and T by s leaves W C and W T, and so both likelihoods, as they are; the
+    penalties become ``lam s a + (gamma c + eta t) / (2 s^2)`` with
+    a = ||W_k||_1, c = ||C_k||^2 and t = ||T_k||^2, whose minimiser is
+    ``s = ((gamma c + eta t) / (lam a))^(1/3)``. A concept with a = 0 or
+    c + t = 0 has no such minimiser and keeps s = 1, bit for bit. Since s = 1
+    is a candidate, the step never raises the objective beyond the rounding
+    of W C and W T.
+    """
+    ridge = (params.gamma * np.einsum("kn,kn->k", C, C)
+             + params.eta * np.einsum("kv,kv->k", T, T))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.cbrt(ridge / (params.lam * W.sum(axis=0)))
+    s[~((s > 0) & (s < np.inf))] = 1.0  # a = 0 or c + t = 0, or out of range
+    return W * s, C / s[:, None], T / s[:, None]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, DimensionMismatchError, ValidationError
 from .evaluation import association_graph, top_keywords
 from .model import (
     FactorState,
@@ -277,8 +277,8 @@ def load_archive(path):
     dimensions block that matches the arrays. Each field is checked by the
     type it builds: a factor by ``FactorState``, whose ValidationError
     stands, the rest by ``HyperParams``, ``FitReport`` and ``ModelArchive``.
-    A missing key, a ragged or mistyped value, or a field those three reject
-    is a DataFormatError naming the file.
+    A missing key, a ragged or mistyped value, factors whose shapes disagree,
+    or a field those three reject is a DataFormatError naming the file.
     """
     path = Path(path)
     try:
@@ -305,10 +305,11 @@ def load_archive(path):
                                doc["learner_ids"], report)
     except KeyError as exc:
         raise DataFormatError(f"archive is missing field {exc.args[0]!r}", path) from None
-    except (TypeError, ValueError, ValidationError) as exc:
+    except (TypeError, ValueError, ValidationError, DimensionMismatchError) as exc:
         if state is None and isinstance(exc, ValidationError):
             raise  # the factors' own feasibility error
-        # ragged arrays, values of the wrong type, and fields out of range
+        # ragged arrays, factors of disagreeing shapes, values of the wrong
+        # type, and fields out of range
         raise DataFormatError(f"malformed archive field: {exc}", path) from None
     expected = {
         "num_questions": state.num_questions,

@@ -50,6 +50,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
+from numbers import Real
 
 import numpy as np
 
@@ -310,9 +311,11 @@ class HyperParams:
 class FitReport:
     """Objective value after each outer sweep plus convergence bookkeeping.
 
-    Owns its fields' rules: a finite trace value per outer iteration, a count
-    >= 0 of them, a bool ``converged`` (not converted: ``bool("false")`` is
-    True) and a ``wall_time`` >= 0.
+    Owns its fields' rules: a finite real trace value per outer iteration,
+    stored as a float, a count >= 0 of them, a bool ``converged`` and a
+    ``wall_time`` >= 0. The trace values and ``converged`` are checked, not
+    converted: ``float("1.5")`` is 1.5 and ``bool("false")`` is True, so a
+    string or a bool is no trace value.
     """
 
     objective_trace: tuple
@@ -321,9 +324,13 @@ class FitReport:
     wall_time: float
 
     def __post_init__(self):
-        object.__setattr__(self, "objective_trace", tuple(map(float, self.objective_trace)))
-        if not all(map(math.isfinite, self.objective_trace)):
-            raise ValidationError("objective_trace must be finite")
+        trace = tuple(self.objective_trace)
+        for value in trace:
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real) \
+                    or not math.isfinite(value):
+                raise ValidationError(
+                    f"objective_trace must be finite real numbers, got {value!r}")
+        object.__setattr__(self, "objective_trace", tuple(map(float, trace)))
         if not isinstance(self.converged, (bool, np.bool_)):
             raise ValidationError(f"converged must be a bool, got {self.converged!r}")
         object.__setattr__(self, "outer_iterations",

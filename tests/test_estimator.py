@@ -179,6 +179,28 @@ class TestExtrapolatedSweeps:
         assert report.converged
         assert report.outer_iterations <= 50
 
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_text_heavy_joint_fit_converges_in_45_sweeps(self, seed, start):
+        # without the per-concept scale step these fits took 51-64 sweeps
+        Y, B, _ = simulate(40, 15, 300, 3, sparsity=2, tau=2.0, missing_fraction=0.0,
+                           seed=seed)
+        _, report = fit(Y, B, CANON_PARAMS, FitConfig(rng_seed=start))
+        assert report.converged
+        assert report.outer_iterations <= 45
+
+    def test_only_a_fit_with_words_rebalances_the_scales(self, monkeypatch):
+        import conceptfit.estimator as estimator
+
+        rebalanced, calls = estimator._rebalanced, []
+        monkeypatch.setattr(estimator, "_rebalanced",
+                            lambda *args: calls.append(args) or rebalanced(*args))
+        Y, B, params = small_problem(0)
+        _, report = fit_responses_only(Y, params, FitConfig(rng_seed=0))
+        assert report.outer_iterations > 0 and calls == []
+        _, report = fit(Y, B, params, FitConfig(rng_seed=0))
+        assert len(calls) == report.outer_iterations
+
     @pytest.mark.parametrize("words", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_trace_never_rises_and_the_state_stays_feasible(self, words, seed):

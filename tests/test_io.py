@@ -275,6 +275,10 @@ class TestArchive:
         pytest.param(lambda doc: doc["question_ids"].pop(), id="question-ids-short"),
         pytest.param(lambda doc: doc["hyperparameters"].update(num_concepts=3),
                      id="num-concepts-not-W"),
+        # FactorState's DimensionMismatchError escaped the same way
+        pytest.param(lambda doc: doc["mu"].pop(), id="mu-short"),
+        pytest.param(lambda doc: doc["C"].pop(), id="C-one-concept-short"),
+        pytest.param(lambda doc: doc["T"].append(doc["T"][0]), id="T-one-concept-long"),
     ])
     def test_malformed_archive_is_a_data_format_error(self, tmp_path, rng, edit):
         path = tmp_path / "a.json"
@@ -293,6 +297,10 @@ class TestArchive:
         ("fit_report", "outer_iterations", 3.0),
         ("fit_report", "outer_iterations", True),
         ("fit_report", "outer_iterations", "3"),
+        pytest.param("fit_report", "objective_trace", ["10.0", "8.5", "8.4999"],
+                     id="trace-strings"),
+        pytest.param("fit_report", "objective_trace", [10.0, True, 8.4999],
+                     id="trace-bool"),
         ("hyperparameters", "num_concepts", 2.7),
         ("hyperparameters", "num_concepts", True),
         ("hyperparameters", "num_concepts", "2"),

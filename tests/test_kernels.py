@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from pytest import approx
 
+from conceptfit.estimator import _rebalanced
 from conceptfit.model import (
     FactorState,
     GradedResponseSet,
@@ -330,3 +331,37 @@ def test_blocks_do_not_depend_on_the_order_of_the_observed_entries(seed, Q, N, V
         sub, moved = build(observed), build(shuffled)
         assert np.array_equal(moved.smooth_gradient(x), sub.smooth_gradient(x))
         assert moved.smooth_value(x) == approx(sub.smooth_value(x), rel=1e-12)
+
+
+@given(**block_cases, scales=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       no_w=st.sets(st.integers(0, 2)), no_ct=st.sets(st.integers(0, 2)))
+@settings(max_examples=60, deadline=None)
+def test_the_scale_step_moves_each_concept_to_its_penalty_minimum(seed, Q, N, V, K, tau,
+                                                                  scales, no_w, no_ct):
+    W, mu, C, T, mask, grades, _, counts = blocks_instance(seed, Q, N, V, K)
+    assume(mask.any())
+    W = W * 10.0 ** np.array(scales[:K])  # concepts far from their balanced scale
+    W[:, [k for k in no_w if k < K]] = 0.0
+    C[[k for k in no_ct if k < K]] = 0.0
+    T[[k for k in no_ct if k < K]] = 0.0
+    params = HyperParams(0.2, 0.4, 0.3, tau, K)
+    W2, C2, T2 = _rebalanced(W, C, T, params)
+
+    # both products, and so both likelihoods, stay as they were
+    assert np.all(np.abs(W2 @ C2 - W @ C) <= 1e-12 * (W @ np.abs(C)))
+    assert np.all(np.abs(W2 @ T2 - W @ T) <= 1e-12 * (W @ T))
+    qi, lj = np.nonzero(mask)
+    responses = GradedResponseSet(Q, N, np.stack([qi, lj, grades[qi, lj]], axis=1))
+    word_counts = WordCountMatrix(Q, tuple(f"w{v}" for v in range(V)), counts)
+    before = objective(responses, word_counts, FactorState(W, mu, C, T), params)
+    after = objective(responses, word_counts, FactorState(W2, mu, C2, T2), params)
+    assert after <= before + 1e-12 * abs(before)
+
+    # the penalty's slope along each moved concept's scale, lam a - (gamma c + eta t), is 0
+    moved = (W.sum(axis=0) > 0) & ((C * C).sum(axis=1) + (T * T).sum(axis=1) > 0)
+    assert (params.lam * W2.sum(axis=0))[moved] == approx(
+        (params.gamma * (C2 * C2).sum(axis=1) + params.eta * (T2 * T2).sum(axis=1))[moved],
+        rel=1e-12)
+    # a concept with no scale to move comes back bit for bit
+    assert same_bits(W2[:, ~moved], W[:, ~moved])
+    assert same_bits(C2[~moved], C[~moved]) and same_bits(T2[~moved], T[~moved])

@@ -425,6 +425,17 @@ class TestDomainTypes:
         with pytest.raises(ValidationError, match="^objective_trace must be finite"):
             FitReport((1.0, value), True, 2, 0.0)
 
+    @pytest.mark.parametrize("value", ["2", True, np.bool_(False), None, 1j, [2.0]])
+    def test_fit_report_trace_is_checked_not_converted(self, value):
+        # float("2") is 2.0 and float(True) is 1.0
+        with pytest.raises(ValidationError, match="^objective_trace must be finite real"):
+            FitReport((1.5, value), True, 2, 0.0)
+
+    def test_fit_report_stores_real_trace_values_as_floats(self):
+        report = FitReport((3, np.int64(2), np.float32(1.5)), True, 3, 0.0)
+        assert report.objective_trace == (3.0, 2.0, 1.5)
+        assert all(type(v) is float for v in report.objective_trace)
+
     @pytest.mark.parametrize("value", ["false", 1, 0.0, None])
     def test_fit_report_converged_is_checked_not_converted(self, value):
         # bool("false") is True
