@@ -43,14 +43,16 @@ otherwise it starts from the current state and the sequence restarts. The
 wait keeps the early, large steps from carrying a fit into another local
 minimum. Every block step ends at an objective no worse than where it
 started, and every sweep starts no higher than the last recorded objective,
-so the recorded trace is nonincreasing up to float evaluation noise.
+so the recorded trace is nonincreasing up to float evaluation noise and
+the gap at rates below epsilon, which the blocks' values floor at the
+smallest normal float and the objective at epsilon (see ``model``).
 
 What the data fix is formed once per fit, before the first sweep: the
-block set-up of ``solvers._FitBlocks`` (the observed cells' signs and
-groups, the float counts and their floors) and the objective kernel of
-``model._objective_of``, the one ``objective`` evaluates. Each sweep then
-builds its three block subproblems from the current factors alone, and
-both die with the fit.
+block set-up of ``solvers._FitBlocks`` (one set of the observed cells'
+signs and groups for the W and C blocks, and the float counts) and the
+objective kernel of ``model._objective_of``, the one ``objective``
+evaluates. Each sweep then builds its three block subproblems from the
+current factors alone, and both die with the fit.
 """
 
 import math

@@ -1,6 +1,5 @@
 """Holdout scoring, hyperparameter grid search, and concept interpretation."""
 
-import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -14,8 +13,8 @@ from .errors import (
     ValidationError,
 )
 from .estimator import fit
-from .model import (_check_count, _check_positive, _entry_arrays, bernoulli_nll,
-                    inverse_logit, observed_slacks)
+from .model import (_check_count, _check_positive, _check_real, _entry_arrays,
+                    bernoulli_nll, inverse_logit, observed_slacks)
 
 __all__ = [
     "HoldoutSplit",
@@ -66,8 +65,7 @@ def holdout_split(responses, fraction, seed):
     test entry at all, and InfeasibleSplitError when the pass cannot reach
     the target size.
     """
-    if not 0 < fraction < 1:
-        raise ValidationError("fraction must be in (0, 1)")
+    fraction = _check_real("fraction", fraction, "in (0, 1)", lambda v: 0 < v < 1)
     total = responses.num_observed
     if total < 2:
         raise ValidationError("need at least two observed entries to split")
@@ -275,9 +273,8 @@ def association_graph(state, weight_floor=None):
     if weight_floor is None:
         positive = state.W[state.W > 0]
         weight_floor = 0.05 * float(positive.mean()) if positive.size else 0.0
-    if not (math.isfinite(weight_floor) and weight_floor >= 0):
-        raise ValidationError(
-            f"weight_floor must be finite and >= 0, got {weight_floor!r}")
+    weight_floor = _check_real("weight_floor", weight_floor, "finite and >= 0",
+                               lambda v: v >= 0)
     pairs = np.argwhere(state.W > weight_floor)
     edges = tuple(
         (int(i), int(k), float(state.W[i, k])) for i, k in pairs

@@ -29,6 +29,7 @@ from .model import (
     _check_count,
     _check_names,
     _check_positive,
+    _check_real,
     inverse_logit,
 )
 from .text import Corpus
@@ -277,8 +278,9 @@ def load_archive(path):
     dimensions block that matches the arrays. Each field is checked by the
     type it builds: a factor by ``FactorState``, whose ValidationError
     stands, the rest by ``HyperParams``, ``FitReport`` and ``ModelArchive``.
-    A missing key, a ragged or mistyped value, factors whose shapes disagree,
-    or a field those three reject is a DataFormatError naming the file.
+    A missing key, a ragged or mistyped value, a W that is no Q x K matrix,
+    factors whose shapes disagree, or a field those three reject is a
+    DataFormatError naming the file.
     """
     path = Path(path)
     try:
@@ -418,8 +420,7 @@ def simulate(num_questions, num_learners, num_words, num_concepts, sparsity,
         _check_count(name, value, 1)
     if sparsity > num_concepts:
         raise ValidationError("sparsity cannot exceed the number of concepts")
-    if not 0 <= missing_fraction < 1:
-        raise ValidationError("missing_fraction must be in [0, 1)")
+    _check_real("missing_fraction", missing_fraction, "in [0, 1)", lambda v: 0 <= v < 1)
     _check_positive("tau", tau)
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     W = np.zeros((num_questions, num_concepts))

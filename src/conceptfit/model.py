@@ -32,12 +32,14 @@ constant column sums minus its product with r, which spares the solvers
 the Q x V pass 1 - r per evaluation.
 
 ``objective`` and ``poisson_nll`` floor every cell's rate at epsilon. The
-solvers' values floor only the cells with a zero count there and score a
-cell with a nonzero count at its raw rate, floored at the smallest normal
-float (``_scored_floors``), so that a rate driven to 0 under a count is
-costly rather than flat. The two agree wherever every counted rate is at
-least epsilon, and for an epsilon of at most 1 the solvers' value is never
-below the objective's. Their slopes keep the epsilon floor.
+solvers' values floor every rate at the smallest normal float instead
+(``solvers._RATE_FLOOR``). A cell with a count is then scored at its raw
+rate, so a rate driven to 0 under a count is costly rather than flat, and
+a cell with no count costs its raw rate, a linear value that matches the
+unit slope the solvers use there. The two agree wherever every rate is at
+least epsilon. Below it, a cell with no count costs less than epsilon below
+the objective's value, and, for an epsilon of at most 1, a cell with a
+count costs more. Their slopes keep the epsilon floor.
 
 All values here are immutable once constructed and safe to share across
 threads; every public operation is a pure function of its inputs. The
@@ -79,18 +81,28 @@ def _check_count(name, value, least):
     return int(value)
 
 
+def _check_real(name, value, rule, within=lambda v: True):
+    """value as a float if it is a finite real number (no bool) and ``within`` holds.
+
+    Else ValidationError saying that ``name`` must be ``rule``.
+    """
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and isinstance(value, Real) \
+            and math.isfinite(value) and within(value)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
+
+
 def _check_positive(name, value):
     """Reject a bool, and any value that is not a finite number > 0, such as a string.
 
     For tau: a negative tau flips every probability, zero or NaN gives 0.5,
     and inf gives 0 or 1.
     """
-    try:
-        ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and value > 0
-    except TypeError:  # a string, None, or anything else that is no number
-        ok = False
-    if not ok:
-        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+    _check_real(name, value, "finite and > 0", lambda v: v > 0)
 
 
 def _check_names(name, values):
@@ -243,14 +255,17 @@ class FactorState:
 
     W (questions x concepts) and T (concepts x words) are entrywise
     nonnegative; mu (per-question difficulty) and C (concepts x learners)
-    are unconstrained in sign. Owns the factors' rules: shapes that agree
-    (else DimensionMismatchError), finite entries, nonnegative W and T.
+    are unconstrained in sign. Owns the factors' rules: a Q x K matrix W
+    with K >= 1 and shapes that agree with it (else DimensionMismatchError),
+    finite entries (else ValidationError), nonnegative W and T (else
+    ValidationError).
     """
 
     def __init__(self, W, mu, C, T):
         W, mu, C, T = map(_readonly, ("W", "mu", "C", "T"), (W, mu, C, T))
         if W.ndim != 2 or W.shape[1] < 1:
-            raise ValidationError("W must be a Q x K matrix with K >= 1")
+            raise DimensionMismatchError("concepts", "a Q x K matrix W with K >= 1",
+                                         W.shape)
         Q, K = W.shape
         if mu.shape != (Q,):
             raise DimensionMismatchError("questions", Q, mu.shape)
@@ -313,9 +328,9 @@ class FitReport:
 
     Owns its fields' rules: a finite real trace value per outer iteration,
     stored as a float, a count >= 0 of them, a bool ``converged`` and a
-    ``wall_time`` >= 0. The trace values and ``converged`` are checked, not
-    converted: ``float("1.5")`` is 1.5 and ``bool("false")`` is True, so a
-    string or a bool is no trace value.
+    finite real ``wall_time`` >= 0. The numbers and ``converged`` are
+    checked, not converted: ``float("1.5")`` is 1.5 and ``bool("false")`` is
+    True, so a string or a bool is no trace value and no wall time.
     """
 
     objective_trace: tuple
@@ -324,21 +339,17 @@ class FitReport:
     wall_time: float
 
     def __post_init__(self):
-        trace = tuple(self.objective_trace)
-        for value in trace:
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real) \
-                    or not math.isfinite(value):
-                raise ValidationError(
-                    f"objective_trace must be finite real numbers, got {value!r}")
-        object.__setattr__(self, "objective_trace", tuple(map(float, trace)))
+        object.__setattr__(self, "objective_trace", tuple(
+            _check_real("objective_trace", value, "finite real numbers")
+            for value in self.objective_trace))
         if not isinstance(self.converged, (bool, np.bool_)):
             raise ValidationError(f"converged must be a bool, got {self.converged!r}")
         object.__setattr__(self, "outer_iterations",
                            _check_count("outer_iterations", self.outer_iterations, 0))
         if len(self.objective_trace) != self.outer_iterations:
             raise ValidationError("objective_trace must have one value per iteration")
-        if self.wall_time < 0:
-            raise ValidationError("wall_time must be >= 0")
+        object.__setattr__(self, "wall_time", _check_real(
+            "wall_time", self.wall_time, "finite and >= 0", lambda v: v >= 0))
 
 
 def _array_or_float(val):
@@ -402,23 +413,12 @@ def bernoulli_nll(y, z, tau):
     return _array_or_float(_bernoulli_terms(u, e))
 
 
-def _floored_rate(a_raw, epsilon, out=None):
-    """Poisson rate a = max(a_raw, epsilon); epsilon may be a grid of floors.
+def _floored_rate(a_raw, floor, out=None):
+    """Poisson rate a = max(a_raw, floor).
 
     Given ``out``, an array of the rates' shape, the rates are written into it.
     """
-    return np.maximum(np.asarray(a_raw, dtype=float), epsilon, out=out)
-
-
-def _scored_floors(b, epsilon):
-    """The rate floor of each cell in the solvers' values.
-
-    The smallest normal float under a nonzero count, so a counted cell is
-    scored at its raw rate and pays about 708 b at rate 0; epsilon where
-    the count is zero. The floor stays finite: an infinite value would make
-    inf - inf of the values' differences.
-    """
-    return np.where(np.asarray(b) > 0, np.finfo(float).tiny, epsilon)
+    return np.maximum(np.asarray(a_raw, dtype=float), floor, out=out)
 
 
 def _poisson_terms(b, a, out=None):

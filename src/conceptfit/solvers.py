@@ -27,14 +27,14 @@ row whose step still passes then tries at most three candidates in its
 first iteration instead of halving down from 1.0 again, and a row whose
 carried step is at the step floor starts again at 1.0.
 
-The Poisson values score a cell with a nonzero count at its raw rate,
-floored only at the smallest normal float, and a cell with a zero count at
-the epsilon-floored rate, as the objective does. A step that drives a
-counted word's rate toward 0 then pays about 708 per count and fails its
+The Poisson values floor every rate at the smallest normal float
+(``_RATE_FLOOR``), not at epsilon as the objective does. A step that drives
+a counted word's rate toward 0 then pays about 708 per count and fails its
 row's bound, where under the epsilon floor the value below epsilon would be
 flat and such a step would pass, leaving a row whose slope, 1 - b / epsilon,
-no later step could follow. The slopes keep the epsilon floor, so every
-gradient stays finite.
+no later step could follow. A cell with no count costs its raw rate, a
+linear value whose slope is the unit slope the gradients give it. The
+slopes keep the epsilon floor, so every gradient stays finite.
 
 Each FISTA iteration makes one fused pass at its momentum point y: handed
 a builder's ``Subproblem.value_and_gradient`` as its gradient callable,
@@ -48,11 +48,11 @@ down. What a fit's data fix is formed once per fit, by ``_FitBlocks``,
 which a fit keeps for all its sweeps and each public builder forms for its
 one block:
 
-- the signed precision tau * (2y - 1) of the observed grades, and the
-  question or learner of each cell, which sums the terms per row with
-  ``np.bincount``; the latter is formed on first use per shape of the
-  slacks;
-- the counts as floats and their scored floors;
+- the signed precision tau * (2y - 1) of the observed grades, one set-up
+  for both axes, and the question or learner of each cell, which sums the
+  terms per row with ``np.bincount``; the latter is formed on first use per
+  axis and shape of the slacks;
+- the counts as floats;
 - two work arrays of the counts' shape behind the Q x V Poisson grids: the
   raw rates, whose array then takes the terms, and the floored rates or
   ratios. Every W and T evaluation writes into them with ``out=``, by the
@@ -97,7 +97,6 @@ from .model import (
     _floored_rate,
     _poisson_ratio,
     _poisson_terms,
-    _scored_floors,
     _signed_precision,
 )
 
@@ -121,6 +120,10 @@ __all__ = [
 
 # Below this the line search gives up shrinking and accepts the candidate.
 _STEP_FLOOR = 1e-18
+# The floor of every rate in the Poisson values, the smallest normal float: a
+# rate of 0 under a count costs about 708 per count, finite, since an infinite
+# value would make inf - inf of the values' differences.
+_RATE_FLOOR = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -386,16 +389,17 @@ def _subproblem(value_and_gradient, value, prox, penalty=None):
                       (value, penalty), value_and_gradient)
 
 
-def _observed_bernoulli(cells, y, tau, axis):
+def _observed_bernoulli(cells, y, tau):
     """Per-row values, and fused values and slope grid, of slacks Z graded y.
 
     cells index Z row-major, in any order; unobserved cells get slope zero.
-    The values come per row of a 2-D Z (``axis=1``, Q x 1) or per column
-    (``axis=0``, 1 x N), each cell's row or column formed on first use; a
-    1-D Z is one row. A soft grade y in (0, 1), which the per-row views
-    accept, is scored as the cross-entropy y * nll(1) + (1 - y) * nll(0): a
-    correct grade of weight y and an incorrect one of weight 1 - y on the
-    same cell.
+    Both callables take Z and the axis of its values: per row of a 2-D Z
+    (``axis=1``, Q x 1) or per column (``axis=0``, 1 x N), each cell's row or
+    column formed on first use per axis; a 1-D Z is one row. So one set-up
+    serves the W block's rows and the C block's columns. A soft grade y in
+    (0, 1), which the per-row views accept, is scored as the cross-entropy
+    y * nll(1) + (1 - y) * nll(0): a correct grade of weight y and an
+    incorrect one of weight 1 - y on the same cell.
     """
     _check_positive("tau", tau)
     cells, y = np.asarray(cells), np.asarray(y, dtype=float)
@@ -406,29 +410,30 @@ def _observed_bernoulli(cells, y, tau, axis):
     m = _signed_precision(np.concatenate([y > 0.0, np.zeros(soft.size)]), tau)
     weight = np.concatenate([np.where(y > 0.0, y, 1.0), 1.0 - y[soft]])
     slope_scale = weight * m
-    groups = {}  # Z.shape -> (each cell's row or column, their number, values' shape)
+    # (axis, Z.shape) -> (each cell's row or column, their number, values' shape)
+    groups = {}
 
-    def per_row(Z, terms):
+    def per_row(Z, axis, terms):
         if soft.size:
             terms = weight * terms
         if Z.ndim == 1:
             return np.add.reduce(terms)
         try:
-            group, n, shape = groups[Z.shape]
+            group, n, shape = groups[axis, Z.shape]
         except KeyError:
             rows, cols = Z.shape
-            group, n, shape = groups[Z.shape] = (
+            group, n, shape = groups[axis, Z.shape] = (
                 (cells // cols, rows, (rows, 1)) if axis == 1
                 else (cells % cols, cols, (1, cols)))
         return np.bincount(group, terms, n).reshape(shape)
 
-    def value(Z):
-        return per_row(Z, _bernoulli_terms(*_bernoulli_margins(m, Z.take(cells))))
+    def value(Z, axis):
+        return per_row(Z, axis, _bernoulli_terms(*_bernoulli_margins(m, Z.take(cells))))
 
-    def value_and_slope(Z):
+    def value_and_slope(Z, axis):
         u, e = _bernoulli_margins(m, Z.take(cells))
         s = _bernoulli_slopes(slope_scale, u, e)
-        return (per_row(Z, _bernoulli_terms(u, e)),
+        return (per_row(Z, axis, _bernoulli_terms(u, e)),
                 np.bincount(cells, s, Z.size).reshape(Z.shape))
 
     return value, value_and_slope
@@ -438,16 +443,17 @@ class _FitBlocks:
     """The three block subproblems over one fit's data, set up once.
 
     ``grades = (cells, y)`` and the Q x V ``counts`` are the fit's data.
-    What they fix is formed on first use and kept: each axis's Bernoulli
-    helper, with the question or learner of each cell it groups by, the
-    float counts with their scored floors, and the Q x V work arrays of the
-    counts' shape that the W and T blocks evaluate into. Every subproblem
-    built here shares those arrays, so no two of them may be evaluated from
-    two threads at once; the estimator evaluates one at a time. ``w``,
-    ``c`` and ``t`` build a sweep's subproblems from the factors alone. A
-    fit forms one and drops it when it ends; no two fits share one. A
-    public builder forms one for its one block, so it forms only what that
-    block uses and passes None for the rest.
+    What they fix is formed on first use and kept: one Bernoulli helper for
+    both axes, with the question or learner of each cell it groups by, the
+    float counts, and the Q x V work arrays of the counts' shape that the W
+    and T blocks evaluate into. The W and T blocks floor every rate of
+    their values at ``_RATE_FLOOR`` and of their slopes at ``epsilon``.
+    Every subproblem built here shares the work arrays, so no two of them
+    may be evaluated from two threads at once; the estimator evaluates one
+    at a time. ``w``, ``c`` and ``t`` build a sweep's subproblems from the
+    factors alone. A fit forms one and drops it when it ends; no two fits
+    share one. A public builder forms one for its one block, so it forms
+    only what that block uses and passes None for the rest.
     """
 
     def __init__(self, grades, counts, tau, epsilon):
@@ -455,17 +461,12 @@ class _FitBlocks:
         self._tau, self._epsilon = tau, epsilon
 
     @cached_property
-    def _by_question(self):
-        return _observed_bernoulli(*self._grades, self._tau, axis=1)
-
-    @cached_property
-    def _by_learner(self):
-        return _observed_bernoulli(*self._grades, self._tau, axis=0)
+    def _bernoulli(self):
+        return _observed_bernoulli(*self._grades, self._tau)
 
     @cached_property
     def _counts(self):
-        counts = np.asarray(self._raw_counts, dtype=float)
-        return counts, _scored_floors(counts, self._epsilon)
+        return np.asarray(self._raw_counts, dtype=float)
 
     @cached_property
     def _poisson_grids(self):
@@ -475,14 +476,13 @@ class _FitBlocks:
         allocates a Q x V array. Nothing returned from an evaluation is one
         of them.
         """
-        shape = self._counts[0].shape
+        shape = self._counts.shape
         return np.empty(shape), np.empty(shape)
 
     def w(self, c_aug, T, lam):
         """The [W | mu] block at knowledge ``c_aug`` and profiles ``T``."""
-        bern_value, bern_value_and_slope = self._by_question
-        counts, floors = self._counts
-        epsilon = self._epsilon
+        bern_value, bern_value_and_slope = self._bernoulli
+        counts, epsilon = self._counts, self._epsilon
         # The count term over zero words is exactly 0, but the kernel calls on
         # empty arrays still cost time in every evaluation, so skip them.
         has_words = T.shape[1] > 0
@@ -495,16 +495,16 @@ class _FitBlocks:
             return np.matmul(X[..., :-1], T, out=raw), a
 
         def poisson(raw, a):
-            return _poisson_terms(counts, _floored_rate(raw, floors, a), raw) @ ones
+            return _poisson_terms(counts, _floored_rate(raw, _RATE_FLOOR, a), raw) @ ones
 
         def value(X):
-            bern = bern_value(X @ c_aug)
+            bern = bern_value(X @ c_aug, 1)
             if not has_words:
                 return bern
             return bern + poisson(*rates(X))
 
         def value_and_gradient(X):
-            bern, S = bern_value_and_slope(X @ c_aug)
+            bern, S = bern_value_and_slope(X @ c_aug, 1)
             g = S @ c_aug.T
             if not has_words:
                 return bern, g
@@ -526,7 +526,7 @@ class _FitBlocks:
 
     def c(self, W, mu, gamma):
         """The knowledge block at associations ``W`` and difficulties ``mu``."""
-        bern_value, bern_value_and_slope = self._by_learner
+        bern_value, bern_value_and_slope = self._bernoulli
         half_gamma = np.full((1, W.shape[1]), 0.5 * gamma)
 
         def slacks(C):
@@ -536,10 +536,10 @@ class _FitBlocks:
             return half_gamma @ (C * C)
 
         def value(C):
-            return bern_value(slacks(C)) + ridge(C)
+            return bern_value(slacks(C), 0) + ridge(C)
 
         def value_and_gradient(C):
-            bern, S = bern_value_and_slope(slacks(C))
+            bern, S = bern_value_and_slope(slacks(C), 0)
             return bern + ridge(C), W.T @ S + gamma * C
 
         def prox(point, step):
@@ -549,8 +549,7 @@ class _FitBlocks:
 
     def t(self, W, eta):
         """The word-profile block at associations ``W``."""
-        counts, floors = self._counts
-        epsilon = self._epsilon
+        counts, epsilon = self._counts, self._epsilon
         half_eta = np.full((1, W.shape[1]), 0.5 * eta)
         ones = np.ones((1, W.shape[0]))  # sums the count terms per column
         # the slope's constant part, W.T @ ones: one column of K sums, broadcast
@@ -565,7 +564,7 @@ class _FitBlocks:
             return np.matmul(W, T, out=raw), a
 
         def value_at(T, raw, a):
-            a = _floored_rate(raw, floors, a)
+            a = _floored_rate(raw, _RATE_FLOOR, a)
             return ones @ _poisson_terms(counts, a, raw) + half_eta @ (T * T)
 
         def value(T):

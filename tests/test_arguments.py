@@ -1,12 +1,14 @@
-"""Every public count, seed, positive number and name list keeps one rule per kind.
+"""Every public count, seed, real number and name list keeps one rule per kind.
 
 A count is an integer at or above its least value, a seed an integer >= 0,
-and a positive number finite and > 0. A bool is none of these, and numpy
-integers and floats pass as their Python counterparts. A list of names is
-distinct nonempty strings.
+a positive number finite and > 0, and a fraction or floor a finite real
+number in its range. A bool is none of these, and numpy integers and floats
+pass as their Python counterparts. A list of names is distinct nonempty
+strings.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from conceptfit import (
     StopWordList,
     ValidationError,
     WordCountMatrix,
+    association_graph,
     bernoulli_nll,
     build_vocabulary,
     c_column_subproblem,
@@ -121,7 +124,7 @@ SITES = [
 REJECTED = {
     "count": (True, 2.5),
     "seed": (-1, True),
-    "positive": (0, math.nan, math.inf, True, "0.3", None),
+    "positive": (0, math.nan, math.inf, True, "0.3", None, 10**400),
 }
 
 
@@ -136,8 +139,9 @@ def site_id(site):
 def test_a_value_outside_its_kind_is_rejected(name, kind, call, value):
     # True ran one sweep as max_outer_iterations, 2.5 made a 2-question
     # response set, a seed of -1 escaped from numpy as a ValueError, True
-    # was stored as a FitReport's outer_iterations, and a string or None
-    # for a positive number escaped from math.isfinite as a TypeError
+    # was stored as a FitReport's outer_iterations, a string or None for a
+    # positive number escaped from math.isfinite as a TypeError, and 10**400
+    # as an OverflowError
     message = (f"^{name} must be finite and > 0, got" if kind == "positive"
                else f"^{name} must be an integer >= {0 if kind == 'seed' else ''}")
     with pytest.raises(ValidationError, match=message):
@@ -155,6 +159,40 @@ def test_a_numpy_count_is_stored_as_an_int():
     Y = GradedResponseSet(np.int64(2), np.int64(3), [(0, 0, 1)])
     assert type(Y.num_questions) is int and type(Y.num_learners) is int
     assert type(WordCountMatrix(np.int64(2), ["a"], np.ones((2, 1))).num_questions) is int
+
+
+# (where, the name its message gives, the range its message gives, call with the
+# value, a numpy value it takes)
+RANGE_SITES = [
+    ("holdout_split", "fraction", "in (0, 1)", lambda v: holdout_split(RESPONSES, v, 0),
+     np.float64(0.25)),
+    ("simulate", "missing_fraction", "in [0, 1)",
+     lambda v: simulate(6, 5, 4, 2, 1, 1.0, missing_fraction=v), np.float64(0.2)),
+    ("association_graph", "weight_floor", "finite and >= 0",
+     lambda v: association_graph(STATE, v), np.float64(0.1)),
+]
+
+
+@pytest.mark.parametrize("name, rule, call, value", [
+    pytest.param(*site[1:4], bad, id=f"{site_id(site)}-{bad!r}")
+    for site in RANGE_SITES
+    for bad in ("0.2", True, None, math.nan, math.inf, -1.0, 10**400)
+    if not (bad is None and site[1] == "weight_floor")  # None asks for the default
+])
+def test_a_value_outside_its_range_or_no_real_number_is_rejected(name, rule, call,
+                                                                 value):
+    # a string escaped from the comparison as a TypeError, and True passed
+    # association_graph as a floor of 1.0; an int too large for a float
+    # escaped math.isfinite as an OverflowError
+    message = re.escape(f"{name} must be {rule}, got")
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", [site[3:] for site in RANGE_SITES],
+                         ids=[site_id(site) for site in RANGE_SITES])
+def test_a_numpy_real_in_range_is_taken(call, value):
+    call(value)
 
 
 def archive_with(**names):

@@ -279,6 +279,9 @@ class TestArchive:
         pytest.param(lambda doc: doc["mu"].pop(), id="mu-short"),
         pytest.param(lambda doc: doc["C"].pop(), id="C-one-concept-short"),
         pytest.param(lambda doc: doc["T"].append(doc["T"][0]), id="T-one-concept-long"),
+        # a W that is no Q x K matrix escaped as FactorState's ValidationError
+        pytest.param(lambda doc: doc.update(W=[1.0, 2.0, 3.0]), id="W-flat"),
+        pytest.param(lambda doc: doc.update(W=[]), id="W-empty"),
     ])
     def test_malformed_archive_is_a_data_format_error(self, tmp_path, rng, edit):
         path = tmp_path / "a.json"

@@ -436,6 +436,17 @@ class TestDomainTypes:
         assert report.objective_trace == (3.0, 2.0, 1.5)
         assert all(type(v) is float for v in report.objective_trace)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "1", True, None])
+    def test_fit_report_wall_time_is_a_finite_real_at_least_zero(self, value):
+        # nan, inf and True passed, and "1" escaped as a TypeError
+        with pytest.raises(ValidationError, match="^wall_time must be finite and >= 0"):
+            FitReport((), False, 0, value)
+
+    def test_fit_report_stores_a_real_wall_time_as_a_float(self):
+        for value in (0, np.float32(1.5), 2.25):
+            wall_time = FitReport((), False, 0, value).wall_time
+            assert type(wall_time) is float and wall_time == value
+
     @pytest.mark.parametrize("value", ["false", 1, 0.0, None])
     def test_fit_report_converged_is_checked_not_converted(self, value):
         # bool("false") is True

@@ -808,6 +808,67 @@ class TestCountedCellsOnTheRateFloor:
         assert np.all(np.abs(G - want) <= 1e-12 * np.abs(want).max())
 
 
+class TestUncountedCellsBelowEpsilon:
+    """Solver values score a cell with no count at its raw rate, below epsilon too.
+
+    Its value is then linear in the rate, with the unit slope the gradients
+    give it; floored at epsilon it was flat there.
+    """
+
+    H = 1e-9  # keeps every rate of the perturbed row or column above zero
+
+    def instance(self, rng, Q=5, N=6, V=4, K=2):
+        """Row 0 of W and column 0 of T at 5e-9: their rates are about 1e-8, no counts."""
+        W, mu, C, T, entries, counts = random_instance(rng, Q, N, V, K)
+        W[0], T[:, 0] = 5e-9, 5e-9
+        counts = counts.astype(float)
+        counts[0], counts[:, 0] = 0.0, 0.0
+        assert (W[0] @ T).max() < 1e-6 and (W @ T[:, 0]).max() < 1e-6
+        return W, mu, C, T, entries, counts
+
+    def difference(self, value, x, idx):
+        bump = np.zeros_like(x)
+        bump[idx] = self.H
+        return (value(x + bump) - value(x - bump)) / (2.0 * self.H)
+
+    def test_w_block_and_row_values_have_the_block_gradient_as_slope(self, rng):
+        from conceptfit import GradedResponseSet
+
+        W, mu, C, T, entries, counts = self.instance(rng)
+        tau, lam = 1.4, 0.2
+        Y = GradedResponseSet(W.shape[0], C.shape[1], entries)
+        c_aug = np.vstack([C, np.ones((1, C.shape[1]))])
+        X = np.hstack([W, mu[:, None]])
+        row = [(j, y) for qi, j, y in entries if qi == 0]
+        y_row = np.array([y for _, y in row], dtype=float)
+        block = w_block_subproblem((Y.cells, Y.grades.astype(float)), c_aug, counts,
+                                   T, tau, lam)
+        view = w_row_subproblem(y_row, c_aug[:, [j for j, _ in row]], counts[0], T,
+                                tau, lam)
+        G = block.smooth_gradient(X)
+        for k in range(W.shape[1]):
+            for slope in (self.difference(lambda x: block.rows[0](x)[0, 0], X, (0, k)),
+                          self.difference(view.smooth_value, X[0], k)):
+                assert slope == approx(G[0, k], rel=1e-6), k
+
+    def test_t_block_and_column_values_have_the_block_gradient_as_slope(self, rng):
+        W, _, _, T, _, counts = self.instance(rng)
+        block = t_block_subproblem(counts, W, 0.3)
+        view = t_column_subproblem(counts[:, 0], W, 0.3)
+        G = block.smooth_gradient(T)
+        for k in range(W.shape[1]):
+            for slope in (self.difference(lambda t: block.rows[0](t)[0, 0], T, (k, 0)),
+                          self.difference(view.smooth_value, T[:, 0], k)):
+                assert slope == approx(G[k, 0], rel=1e-6), k
+
+    @given(a_raw=st.floats(0.0, 3e-6))
+    def test_an_uncounted_cell_costs_its_raw_rate(self, a_raw):
+        # one cell, W = [[1]] and eta = 0: the T block's value is the cell's;
+        # a raw rate of 0 costs the rate floor, the smallest normal float
+        value = t_block_subproblem(np.zeros((1, 1)), np.ones((1, 1)), 0.0).rows[0]
+        assert value(np.array([[a_raw]]))[0, 0] == max(a_raw, np.finfo(float).tiny)
+
+
 def test_a_gradient_of_the_wrong_sign_ends_at_the_step_floor_on_the_start(rng):
     # every candidate along +x climbs faster than the backtracking slack allows,
     # so each halving fails its bound until the step reaches the floor, where
