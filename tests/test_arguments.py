@@ -1,10 +1,11 @@
-"""Every public count, seed, real number and name list keeps one rule per kind.
+"""Every public count, seed, real number, name list and config keeps one rule per kind.
 
 A count is an integer at or above its least value, a seed an integer >= 0,
 a positive number finite and > 0, and a fraction or floor a finite real
 number in its range. A bool is none of these, and numpy integers and floats
 pass as their Python counterparts. A list of names is distinct nonempty
-strings.
+strings. A fit's config is None or a ``FitConfig``, whose ``inner`` is a
+``FistaConfig``.
 """
 
 import math
@@ -30,6 +31,8 @@ from conceptfit import (
     build_vocabulary,
     c_column_subproblem,
     cross_validate,
+    fit,
+    fit_responses_only,
     holdout_split,
     initialize,
     mean_predicted_likelihood,
@@ -241,3 +244,27 @@ def test_a_list_of_names_outside_the_rule_is_rejected(name, call, value):
                          ids=[site_id(site) for site in NAME_SITES])
 def test_distinct_nonempty_names_are_taken(call, value):
     call(value)
+
+
+NO_WORDS = WordCountMatrix(3, (), np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize("value", [None, "x", 5, {}, FistaConfig, FitConfig()],
+                         ids=repr)
+def test_an_inner_config_that_is_no_fista_config_is_rejected(value):
+    # each was taken, and the fit then died with an AttributeError
+    with pytest.raises(ValidationError, match="^inner must be a FistaConfig, got"):
+        FitConfig(inner=value)
+
+
+@pytest.mark.parametrize("fit_call", [
+    lambda config: fit(RESPONSES, NO_WORDS, HyperParams(**HYPER), config),
+    lambda config: fit_responses_only(RESPONSES, HyperParams(**HYPER), config),
+], ids=["fit", "fit_responses_only"])
+@pytest.mark.parametrize("value", [{}, 0, False, "", {"rng_seed": 3}, FistaConfig(),
+                                   FitConfig], ids=repr)
+def test_a_fit_config_that_is_no_fit_config_is_rejected(fit_call, value):
+    # {}, 0, False and "" silently ran the default config, and a dict of
+    # fields raised an AttributeError
+    with pytest.raises(ValidationError, match="^config must be a FitConfig or None, got"):
+        fit_call(value)

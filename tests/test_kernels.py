@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from pytest import approx
 
-from conceptfit.estimator import _rebalanced
+from conceptfit.estimator import _centred, _rebalanced
 from conceptfit.model import (
     FactorState,
     GradedResponseSet,
@@ -365,3 +365,51 @@ def test_the_scale_step_moves_each_concept_to_its_penalty_minimum(seed, Q, N, V,
     # a concept with no scale to move comes back bit for bit
     assert same_bits(W2[:, ~moved], W[:, ~moved])
     assert same_bits(C2[~moved], C[~moved]) and same_bits(T2[~moved], T[~moved])
+
+
+@given(**block_cases, scales=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       offsets=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+       no_w=st.sets(st.integers(0, 2)), no_ct=st.sets(st.integers(0, 2)))
+@settings(max_examples=60, deadline=None)
+def test_the_shift_then_the_scale_move_each_concept_to_its_penalty_minimum(
+        seed, Q, N, V, K, tau, scales, offsets, no_w, no_ct):
+    W, mu, C, T, mask, grades, _, counts = blocks_instance(seed, Q, N, V, K)
+    assume(mask.any())
+    W = W * 10.0 ** np.array(scales[:K])  # concepts far from their balanced scale
+    C = C + np.array(offsets[:K])[:, None]  # and far from mean knowledge 0
+    W[:, [k for k in no_w if k < K]] = 0.0
+    C[[k for k in no_ct if k < K]] = 0.0
+    T[[k for k in no_ct if k < K]] = 0.0
+    params = HyperParams(0.2, 0.4, 0.3, tau, K)
+    mu1, C1 = _centred(W, mu, C)
+    W2, C2, T2 = _rebalanced(W, C1, T, params)
+
+    # W C + mu and W T, and so both likelihoods, stay as they were; the
+    # shift moves magnitude between mu and C, so the rounding follows the
+    # larger side's W |C| + |mu|
+    size = np.maximum(W @ np.abs(C) + np.abs(mu)[:, None],
+                      W2 @ np.abs(C2) + np.abs(mu1)[:, None])
+    assert np.all(np.abs(W2 @ C2 + mu1[:, None] - (W @ C + mu[:, None])) <= 1e-12 * size)
+    assert np.all(np.abs(W2 @ T2 - W @ T) <= 1e-12 * (W @ T))
+    # each row of the shifted C has mean 0, the minimiser of its ridge
+    assert np.all(np.abs(C1.mean(axis=1)) <= 1e-12 * np.abs(C).max(axis=1))
+    qi, lj = np.nonzero(mask)
+    responses = GradedResponseSet(Q, N, np.stack([qi, lj, grades[qi, lj]], axis=1))
+    word_counts = WordCountMatrix(Q, tuple(f"w{v}" for v in range(V)), counts)
+    before = objective(responses, word_counts, FactorState(W, mu, C, T), params)
+    after = objective(responses, word_counts, FactorState(W2, mu1, C2, T2), params)
+    assert after <= before + 1e-12 * abs(before)
+
+    # the penalty's slope along each moved concept's scale, lam a - (gamma c + eta t),
+    # is 0, with c taken on the centred C
+    moved = (W.sum(axis=0) > 0) & ((C1 * C1).sum(axis=1) + (T * T).sum(axis=1) > 0)
+    assert (params.lam * W2.sum(axis=0))[moved] == approx(
+        (params.gamma * (C2 * C2).sum(axis=1) + params.eta * (T2 * T2).sum(axis=1))[moved],
+        rel=1e-12)
+    # a concept with no knowledge, no words and so nothing to move comes back
+    # bit for bit, and so do the difficulties when no concept shifts
+    still = [k for k in no_ct if k < K]
+    assert same_bits(W2[:, still], W[:, still])
+    assert same_bits(C2[still], C[still]) and same_bits(T2[still], T[still])
+    if len(still) == K:
+        assert same_bits(mu1, mu)

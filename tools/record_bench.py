@@ -13,7 +13,9 @@ to go first, then one ``--trace 1`` run per side. It writes, per side and
 workload, each end-to-end metric's runs, median and quartiles, the failed and
 attempted operations and the minor page faults of every run and the traced
 run's per-layer metrics; and, per end-to-end metric, the change's median over
-the parent's and the pairs the change won. A run's minor page faults are those
+the parent's, the pairs the change won, the parent's interquartile range and
+the acceptance rule (``compare``): whether a gain is shown and whether the
+change stays within the metric's bound. A run's minor page faults are those
 of the ``bench/run.py`` process and its children, so a heap that keeps being
 trimmed and grown again shows in the record and not only as a slower median.
 Runs go one at a time: the benchmark's timings assume an otherwise idle
@@ -33,6 +35,7 @@ from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_LINES = 20  # how much of a failed run's stderr its error carries
 
 
 def git(*args):
@@ -58,11 +61,21 @@ def source_digest(root):
     return h.hexdigest()
 
 
-def bench(root, workload, seed, seconds, trace):
+def bench(side, root, workload, seed, seconds, trace):
+    """One ``bench/run.py`` run of ``side`` (its checkout at ``root``) and its result line.
+
+    A run that exits nonzero raises RuntimeError naming the side, the
+    workload, the seed, the exit code and the last lines of its stderr.
+    """
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
+    try:
+        out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
+    except subprocess.CalledProcessError as e:
+        tail = "\n".join(e.stderr.splitlines()[-STDERR_LINES:])
+        raise RuntimeError(f"the {side}'s {workload} run (seed {seed}, trace {trace}) "
+                           f"exited with {e.returncode}; its stderr ends:\n{tail}") from e
     result = json.loads(out.stdout.strip().splitlines()[-1])
     result["minor_faults"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     return result
@@ -87,18 +100,33 @@ def side_entry(runs, traced):
     }
 
 
-def compare(parent, change, better):
+def compare(parent, change, metrics):
+    """Per end-to-end metric, the change against the parent and the acceptance rule.
+
+    ``metrics`` maps each name to its ``BENCHMARK.json`` entry (``better``,
+    ``bound``). ``gain_shown`` holds when the change won at least nine tenths
+    of the pairs (a tie counts for neither side) and its median is better
+    than the parent's by more than the parent's interquartile range,
+    ``parent_iqr``. ``within_bound`` holds when the change's median is not
+    worse than the parent's by more than ``bound`` times the parent's.
+    """
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         old = parent["end_to_end"][name]
         new = change["end_to_end"][name]
-        sign = -1.0 if direction == "lower" else 1.0
+        sign = -1.0 if metric["better"] == "lower" else 1.0
         wins = sum(sign * (n - o) > 0 for o, n in zip(old["runs"], new["runs"]))
+        pairs = len(old["runs"])
         ratio = new["median"] / old["median"] if old["median"] else None
+        iqr = old["q3"] - old["q1"]
+        gain = sign * (new["median"] - old["median"])
         out[name] = {
             "change_over_parent": ratio,
             "pairs_won": wins,
-            "pairs": len(old["runs"]),
+            "pairs": pairs,
+            "parent_iqr": iqr,
+            "gain_shown": 10 * wins >= 9 * pairs and gain > iqr,
+            "within_bound": -gain <= metric["bound"] * abs(old["median"]),
         }
     return out
 
@@ -113,7 +141,7 @@ def main(argv=None):
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     result = {
         "pr": args.pr,
@@ -136,13 +164,13 @@ def main(argv=None):
             for i, seed in enumerate(result["seeds"]):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(bench(sides[side], w, seed, seconds, 0))
+                    runs[side].append(bench(side, sides[side], w, seed, seconds, 0))
                 print(f"{w}: pair {i + 1}/{args.pairs}", file=sys.stderr, flush=True)
             for side, root in sides.items():
-                traced = bench(root, w, args.seed, seconds, 1)
+                traced = bench(side, root, w, args.seed, seconds, 1)
                 result[side]["workloads"][w] = side_entry(runs[side], traced)
             result["comparison"][w] = compare(result["parent"]["workloads"][w],
-                                              result["change"]["workloads"][w], better)
+                                              result["change"]["workloads"][w], metrics)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(path)
