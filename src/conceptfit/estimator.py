@@ -27,6 +27,21 @@ fewer; the shift, taken alone, also took more sweeps on the benchmark's
 grades-only fits (summed, 161 -> 172 on ``canonical`` and 544 -> 587 on
 ``text-heavy``, against 239 -> 234 on ``sparse-grades``).
 
+A sweep over a nonempty vocabulary also solves the W block under a fixed
+diagonal metric (``solvers._FitBlocks.w_metric``): each weight steps by its
+row's step, and each difficulty mu_i by max(1, 1 / (s_i h_i)) times it,
+where h_i is the exact curvature of the grades in mu_i at the solve's start
+and s_i the row's start step. The Poisson channel stiffens a question's
+weights but not its difficulty. At fitted states of the benchmark's
+``text-heavy`` data the W rows' Hessians have a median condition number of
+22.7 (``canonical`` 5.1, ``sparse-grades`` 3.2), and the weights' diagonal
+curvature is a median 19.5 times the difficulty's. So under one step per
+row, which the weights set, mu creeps; under the metric it steps at its own
+curvature, and text-heavy W solves fell from 5.3 to 2.6 inner iterations
+and their fits from 31 to 21 sweeps. A grades-only fit solves without a
+metric and stays bit for bit as it was: there the weights and the
+difficulty have curvatures alike, and the metric made its fits slower.
+
 The block solves are only as accurate as the outer progress calls for
 (block descent needs only a sufficient decrease per block; Xu & Yin, SIAM
 J. Imaging Sci. 2013, and the BCD of SPARFA, Lan, Waters, Studer &
@@ -99,6 +114,15 @@ class FitConfig:
         _check_count("rng_seed", self.rng_seed, 0)
 
 
+def _checked_config(config):
+    """``config``, or the default ``FitConfig`` for None; ValidationError otherwise."""
+    if config is None:
+        return FitConfig()
+    if not isinstance(config, FitConfig):
+        raise ValidationError(f"config must be a FitConfig or None, got {config!r}")
+    return config
+
+
 def initialize(num_questions, num_learners, num_words, num_concepts, rng_seed):
     """Random starting point: uniform(0,1) W and T, standard normal C, zero mu.
 
@@ -135,17 +159,19 @@ def fit(responses, word_counts, params, config=None):
     shift and scale steps of the module docstring: each concept's mean
     knowledge moves into the difficulties, then each concept moves to its
     balanced scale, and neither raises the objective. A grades-only fit
-    skips both, which took it more sweeps, not fewer. ``config`` is None
+    skips both, which took it more sweeps, not fewer. Over a nonempty
+    vocabulary the W block is solved under the module docstring's diagonal
+    metric, so each difficulty steps at its own curvature, not at the scale
+    of weights that the word counts stiffen (W-row condition numbers of a
+    median 22.7 at fitted text-heavy states, against 5.1 on canonical
+    data); a grades-only fit takes no metric. ``config`` is None
     (the default ``FitConfig``) or a ``FitConfig``; anything else raises
     ValidationError.
     Returns (FactorState, FitReport). Raises DivergenceError, carrying the
     last finite state before any extrapolation, if a sweep ever produces a
     non-finite objective.
     """
-    if config is None:
-        config = FitConfig()
-    elif not isinstance(config, FitConfig):
-        raise ValidationError(f"config must be a FitConfig or None, got {config!r}")
+    config = _checked_config(config)
     if word_counts.num_questions != responses.num_questions:
         raise DimensionMismatchError(
             "questions", responses.num_questions, word_counts.num_questions
@@ -195,12 +221,12 @@ def _descend(responses, word_counts, state, params, config):
     inner = FistaConfig(config.inner.max_iterations,
                         max(1e-3, config.inner.relative_tolerance))
 
-    def solve(block, sub, x0):
+    def solve(block, sub, x0, metric=None):
         """Solve a block row by row, from the steps its last solve carried."""
         smooth_value, nonsmooth_value = sub.rows
         result = fista_minimize(sub.value_and_gradient, smooth_value, sub.prox, x0,
                                 inner, nonsmooth_value,
-                                initial_step=steps.get(block))
+                                initial_step=steps.get(block), metric=metric)
         steps[block] = result.first_step
         return result.solution
 
@@ -227,8 +253,11 @@ def _descend(responses, word_counts, state, params, config):
                 t = 1.0
         before = last_state
 
-        sub = blocks.w(np.vstack([state.C, ones]), state.T, params.lam)
-        w_aug = solve("W", sub, np.hstack([state.W, state.mu[:, None]]))
+        c_aug = np.vstack([state.C, ones])
+        w_aug = np.hstack([state.W, state.mu[:, None]])
+        # the difficulties' own curvature, only where words stiffen the weights
+        metric = blocks.w_metric(w_aug, c_aug, steps.get("W")) if state.T.size else None
+        w_aug = solve("W", blocks.w(c_aug, state.T, params.lam), w_aug, metric)
         W, mu = w_aug[:, :-1], w_aug[:, -1]
         C = solve("C", blocks.c(W, mu, params.gamma), state.C)
         T = state.T

@@ -12,7 +12,7 @@ from .errors import (
     InfeasibleSplitError,
     ValidationError,
 )
-from .estimator import fit
+from .estimator import _checked_config, fit
 from .model import (_check_count, _check_positive, _check_real, _entry_arrays,
                     bernoulli_nll, inverse_logit, observed_slacks)
 
@@ -187,11 +187,14 @@ def cross_validate(responses, word_counts, grid, config, folds_or_fraction=0.2,
     broken toward larger lam (sparser associations), then smaller tau, then
     grid order. With ``n_threads`` > 1 the grid points are fitted in that
     many spawned worker processes, with the same scores as a serial run.
-    Returns (best params, full score table). Raises ValidationError unless
-    ``n_threads`` is an integer >= 1, and InfeasibleSplitError when the
-    holdout or any fold would leave a question or learner without a
-    training entry.
+    ``config`` is None (the default ``FitConfig``) or a ``FitConfig``, as
+    for ``fit``. Returns (best params, full score table). Raises
+    ValidationError for any other ``config`` and unless ``n_threads`` is an
+    integer >= 1, both before any fold is drawn, and InfeasibleSplitError
+    when the holdout or any fold would leave a question or learner without
+    a training entry.
     """
+    config = _checked_config(config)
     _check_count("n_threads", n_threads, 1)
     grid = list(grid)
     if not grid:

@@ -27,6 +27,17 @@ row whose step still passes then tries at most three candidates in its
 first iteration instead of halving down from 1.0 again, and a row whose
 carried step is at the step floor starts again at 1.0.
 
+A solve may also take a fixed diagonal metric (``fista_minimize``'s
+``metric``, a variable-metric forward-backward step; Chouzenoux, Pesquet &
+Repetti, J. Optim. Theory Appl. 2014): coordinate j of row i then steps by
+step_i x metric_ij, ``prox`` receives those coordinate steps, and the row's
+bound charges sum(dz^2 / (2 step metric)). The row's step is still one
+scalar, the one that halves and that ``first_step`` carries to the next
+solve. ``_FitBlocks.w_metric`` gives the W block's: 1 on the weights and,
+on each difficulty, the ratio of the row's start step to the step of the
+difficulty's own curvature, at least 1. Without a metric every coordinate
+steps by its row's step, bit for bit as before.
+
 The Poisson values floor every rate at the smallest normal float
 (``_RATE_FLOOR``), not at epsilon as the objective does. A step that drives
 a counted word's rate toward 0 then pays about 708 per count and fails its
@@ -185,7 +196,7 @@ class Subproblem(NamedTuple):
 
 
 def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
-                   nonsmooth_value=None, initial_step=None):
+                   nonsmooth_value=None, initial_step=None, metric=None):
     """Accelerated proximal gradient with a backtracking line search per row.
 
     ``prox(point, step)`` must be the exact proximal map of the nonsmooth
@@ -207,6 +218,19 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     relative change of the summed composite objective falls below
     ``relative_tolerance`` or ``max_iterations`` is reached.
 
+    ``metric``, if given, is a fixed diagonal metric for the solve: a
+    positive, finite array that broadcasts against x. Coordinate j of row i
+    then steps by ``step_i * metric_ij``, ``prox`` receives that array of
+    coordinate steps, and the row's quadratic upper bound takes the sum of
+    dz^2 / (2 step metric) over the row: the variable-metric forward-backward
+    step (Chouzenoux, Pesquet & Repetti, J. Optim. Theory Appl. 2014), which
+    lets a coordinate whose curvature is far below its row's stiffest move
+    at its own scale. The row's step is still the one scalar that halves and
+    that ``first_step`` reports. Without a metric every coordinate of a row
+    steps by the row's step, bit for bit as a metric of 1.0. Raises
+    ValidationError for a metric that is not positive and finite or that
+    does not broadcast to x's shape.
+
     Returns each row's best iterate, so no row ends above its composite
     objective at ``x0``, ``final_objective``, their sum, and ``first_step``,
     each row's step as the first iteration accepted it.
@@ -225,6 +249,7 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     config = config or FistaConfig()
     penalty = nonsmooth_value if nonsmooth_value is not None else (lambda _: 0.0)
     x = np.array(x0, dtype=float)
+    metric = 1.0 if metric is None else _checked_metric(metric, x.shape)
     y = x.copy()
     t = 1.0
     used = 0
@@ -242,11 +267,12 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
             shape = (1,) * (x.ndim - best_f.ndim) + best_f.shape
             axes = tuple(a for a, n in enumerate(shape) if n == 1)
             step = _start_step(shape, initial_step)
-            half_curvature = 0.5 / step  # 1 / (2 step)
+            scaled = step * metric  # each coordinate's step
+            half_curvature = 0.5 / scaled  # 1 / (2 step metric)
         # one backtracking slack for the iteration, from the last objective
         f_top = f_y + 1e-12 * max(1.0, abs(f_prev))
         while True:
-            z = prox(y - step * grad, step)
+            z = prox(y - scaled * grad, scaled)
             dz = z - y
             f_z = smooth_value(z)
             bound = f_top + np.add.reduce(dz * (grad + half_curvature * dz), axes,
@@ -258,6 +284,7 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
             if not np.logical_or.reduce(shrink, None):
                 break
             np.multiply(step, 0.5, out=step, where=shrink)
+            np.multiply(scaled, 0.5, out=scaled, where=shrink)
             np.multiply(half_curvature, 2.0, out=half_curvature, where=shrink)
         if k == 1:
             first_step = step.copy()
@@ -276,6 +303,22 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     return SubproblemResult(solution=best_x,
                             final_objective=float(np.add.reduce(best_f, None)),
                             iterations_used=used, first_step=first_step)
+
+
+def _checked_metric(metric, shape):
+    """``metric`` as floats, if positive, finite and broadcasting to ``shape``."""
+    try:
+        metric = np.asarray(metric, dtype=float)
+        fits = np.broadcast_shapes(metric.shape, shape) == shape
+    except (TypeError, ValueError):
+        fits = False
+    if not fits:
+        raise ValidationError(
+            f"metric must be an array of reals that broadcasts to the variable's "
+            f"shape {shape}, got a {type(metric).__name__} of shape {np.shape(metric)}")
+    if not (np.isfinite(metric) & (metric > 0.0)).all():
+        raise ValidationError("metric must be finite and > 0 in every entry")
+    return metric
 
 
 def _start_step(shape, carried):
@@ -390,10 +433,10 @@ def _subproblem(value_and_gradient, value, prox, penalty=None):
 
 
 def _observed_bernoulli(cells, y, tau):
-    """Per-row values, and fused values and slope grid, of slacks Z graded y.
+    """Per-row values, fused values and slope grid, and curvatures of slacks Z graded y.
 
     cells index Z row-major, in any order; unobserved cells get slope zero.
-    Both callables take Z and the axis of its values: per row of a 2-D Z
+    The three callables take Z and the axis of its values: per row of a 2-D Z
     (``axis=1``, Q x 1) or per column (``axis=0``, 1 x N), each cell's row or
     column formed on first use per axis; a 1-D Z is one row. So one set-up
     serves the W block's rows and the C block's columns. A soft grade y in
@@ -410,6 +453,7 @@ def _observed_bernoulli(cells, y, tau):
     m = _signed_precision(np.concatenate([y > 0.0, np.zeros(soft.size)]), tau)
     weight = np.concatenate([np.where(y > 0.0, y, 1.0), 1.0 - y[soft]])
     slope_scale = weight * m
+    curvature_scale = m * m  # tau^2 on every cell
     # (axis, Z.shape) -> (each cell's row or column, their number, values' shape)
     groups = {}
 
@@ -436,7 +480,17 @@ def _observed_bernoulli(cells, y, tau):
         return (per_row(Z, axis, _bernoulli_terms(u, e)),
                 np.bincount(cells, s, Z.size).reshape(Z.shape))
 
-    return value, value_and_slope
+    def curvature(Z, axis):
+        """Per row, the sum of each cell's second derivative in its slack.
+
+        That is m^2 sigmoid(u) sigmoid(-u) = tau^2 e / (1 + e)^2 per cell,
+        and so the values' exact second derivative along a shift of the
+        whole row of slacks.
+        """
+        e = _bernoulli_margins(m, Z.take(cells))[1]
+        return per_row(Z, axis, curvature_scale * e / np.square(1.0 + e))
+
+    return value, value_and_slope, curvature
 
 
 class _FitBlocks:
@@ -481,7 +535,7 @@ class _FitBlocks:
 
     def w(self, c_aug, T, lam):
         """The [W | mu] block at knowledge ``c_aug`` and profiles ``T``."""
-        bern_value, bern_value_and_slope = self._bernoulli
+        bern_value, bern_value_and_slope, _ = self._bernoulli
         counts, epsilon = self._counts, self._epsilon
         # The count term over zero words is exactly 0, but the kernel calls on
         # empty arrays still cost time in every evaluation, so skip them.
@@ -513,8 +567,11 @@ class _FitBlocks:
             g[..., :-1] += row_sums - r @ T.T
             return bern + poisson(raw, a), g
 
+        num_weights = T.shape[0]
+
         def prox(point, step):
-            return _prox_w(point, step * lam)
+            # under a metric the step comes per entry; a weight's is its own
+            return _prox_w(point, step[..., :num_weights] * lam)
 
         # lam for each weight and 0 for the difficulty: |X| @ l1 is the l1 term per row
         l1 = np.append(np.full(T.shape[0], lam), 0.0)[:, None]
@@ -524,9 +581,28 @@ class _FitBlocks:
 
         return _subproblem(value_and_gradient, value, prox, penalty)
 
+    def w_metric(self, X, c_aug, carried):
+        """The W block's diagonal metric at ``X``: 1 on each weight, d_i on each mu_i.
+
+        d_i = max(1, 1 / (s_i h_i)), where s_i is row i's start step from its
+        ``carried`` step (``_start_step``) and h_i is the grades' second
+        derivative in mu_i at X, the exact curvature of row i along its
+        difficulty; d_i is 1 where h_i = 0 or 1 / (s_i h_i) overflows. The
+        scalar step of a row is set by its stiffest weights, so the
+        difficulty then steps about as far as Newton's step in mu_i, and its
+        weights' l1 thresholds stay step x lam. One slack pass over the
+        observed cells.
+        """
+        h = self._bernoulli[2](X @ c_aug, 1)
+        with np.errstate(divide="ignore", over="ignore"):
+            d = 1.0 / (_start_step(h.shape, carried) * h)
+        metric = np.ones(X.shape)
+        metric[:, -1:] = np.where(d < np.inf, np.maximum(d, 1.0), 1.0)
+        return metric
+
     def c(self, W, mu, gamma):
         """The knowledge block at associations ``W`` and difficulties ``mu``."""
-        bern_value, bern_value_and_slope = self._bernoulli
+        bern_value, bern_value_and_slope, _ = self._bernoulli
         half_gamma = np.full((1, W.shape[1]), 0.5 * gamma)
 
         def slacks(C):

@@ -218,6 +218,49 @@ class TestExtrapolatedSweeps:
             sweeps.append(report.outer_iterations)
         assert sum(sweeps) <= 95
 
+    def test_only_a_fit_with_words_solves_its_w_block_under_a_metric(self, monkeypatch):
+        import conceptfit.estimator as estimator
+
+        metrics = []
+
+        def recorded(*args, metric=None, **kwargs):
+            metrics.append(metric)
+            return fista_minimize(*args, metric=metric, **kwargs)
+
+        monkeypatch.setattr(estimator, "fista_minimize", recorded)
+        Y, B, params = small_problem(0)
+        _, report = fit_responses_only(Y, params, FitConfig(rng_seed=0))
+        # a grades-only fit passes no metric to any solve
+        assert len(metrics) == 2 * report.outer_iterations > 0
+        assert all(metric is None for metric in metrics)
+        metrics.clear()
+        _, report = fit(Y, B, params, FitConfig(rng_seed=0))
+        assert len(metrics) == 3 * report.outer_iterations
+        # a joint fit passes one to its W solves only: 1 on every weight, and
+        # at least 1 on every difficulty
+        assert all(metric is None for metric in metrics[1::3] + metrics[2::3])
+        for metric in metrics[::3]:
+            assert metric.shape == (Y.num_questions, params.num_concepts + 1)
+            assert np.all(metric[:, :-1] == 1.0) and np.all(metric[:, -1] >= 1.0)
+        assert any(np.any(metric[:, -1] > 1.0) for metric in metrics[::3])
+
+    def test_the_metric_cuts_the_w_solves_of_text_heavy_joint_fits(self, monkeypatch):
+        # under one step per row these fits took 5.49 W iterations per sweep,
+        # and up to 39 sweeps
+        solves = record_solves(monkeypatch)
+        w_iterations = sweeps = 0
+        for seed in (0, 1, 2):
+            Y, B, _ = simulate(40, 15, 300, 3, sparsity=2, tau=2.0, missing_fraction=0.0,
+                               seed=seed)
+            for start in (0, 1, 2):
+                solves.clear()
+                _, report = fit(Y, B, CANON_PARAMS, FitConfig(rng_seed=start))
+                assert report.converged
+                assert report.outer_iterations <= 32
+                w_iterations += sum(used for _, used in solves[::3])
+                sweeps += report.outer_iterations
+        assert w_iterations / sweeps <= 3.5
+
     @pytest.mark.parametrize("words", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_trace_never_rises_and_the_state_stays_feasible(self, words, seed):

@@ -291,6 +291,25 @@ class TestCrossValidate:
         with pytest.raises(ValidationError, match="fraction or a fold count"):
             cross_validate(self.Y, self.B, [self.params()], self.cfg, flag)
 
+    @pytest.mark.parametrize("config", [{}, "default", {"rng_seed": 0}])
+    def test_rejects_a_config_that_is_no_fit_config_before_any_fold(self, config,
+                                                                    monkeypatch):
+        # {} used to raise AttributeError from the fold draw
+        import conceptfit.evaluation as evaluation
+
+        drawn = []
+        monkeypatch.setattr(evaluation, "_make_folds", lambda *args: drawn.append(args))
+        with pytest.raises(ValidationError, match="config must be a FitConfig or None"):
+            cross_validate(self.Y, self.B, [self.params()], config, 0.25)
+        assert drawn == []
+
+    def test_no_config_is_the_default_fit_config(self):
+        # None used to raise AttributeError from the fold draw
+        grid = [self.params()]
+        best, table = cross_validate(self.Y, self.B, grid, None, 0.25)
+        assert (best, table) == cross_validate(self.Y, self.B, grid, FitConfig(), 0.25)
+        assert table[0].score is not None
+
     @pytest.mark.parametrize("n_threads", [0, -1, 2.5, 1.0, True, "2", None])
     def test_rejects_a_thread_count_that_is_not_a_positive_integer(self, n_threads):
         # 0 and -1 used to run serially, and 2.5 escaped as a TypeError

@@ -736,6 +736,101 @@ class TestCarriedStep:
             assert warm.final_objective == approx(cold.final_objective, rel=1e-9), name
 
 
+class TestDiagonalMetric:
+    """``metric`` steps coordinate j of row i by step_i x metric_ij."""
+
+    def solve(self, sub, x, cfg, metric=None, initial_step=None):
+        smooth_rows, penalty_rows = sub.rows
+        return fista_minimize(sub.value_and_gradient, smooth_rows, sub.prox, x, cfg,
+                              penalty_rows, initial_step=initial_step, metric=metric)
+
+    def test_a_metric_of_ones_is_bitwise_no_metric(self, rng):
+        cfg = FistaConfig(max_iterations=60, relative_tolerance=1e-12)
+        for name, build, x in block_builders(rng):
+            plain = self.solve(build(), x, cfg)
+            carried = 0.25 * plain.first_step
+            for metric in (np.ones(np.shape(x)), 1.0):
+                ones = self.solve(build(), x, cfg, metric)
+                assert ones.solution.tobytes() == plain.solution.tobytes(), name
+                assert same_bits(ones.final_objective, plain.final_objective), name
+                assert same_bits(ones.first_step, plain.first_step), name
+                assert ones.iterations_used == plain.iterations_used > 1, name
+                warm = self.solve(build(), x, cfg, metric, carried)
+                want = self.solve(build(), x, cfg, initial_step=carried)
+                assert warm.solution.tobytes() == want.solution.tobytes(), name
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_a_metric_entry_that_is_not_finite_and_positive_is_rejected(self, rng, bad):
+        for name, build, x in block_builders(rng)[:3]:
+            metric = np.ones(np.shape(x))
+            metric.flat[-1] = bad
+            with pytest.raises(ValidationError, match="metric"):
+                self.solve(build(), x, FistaConfig(max_iterations=3), metric)
+
+    @pytest.mark.parametrize("shape", ["one row more", "one column more", "flat"])
+    def test_a_metric_that_does_not_broadcast_to_the_variable_is_rejected(self, rng,
+                                                                          shape):
+        name, build, X = block_builders(rng)[0]
+        Q, K1 = X.shape
+        metric = {"one row more": np.ones((Q + 1, K1)),
+                  "one column more": np.ones((Q, K1 + 1)),
+                  "flat": np.ones(Q * K1)}[shape]
+        with pytest.raises(ValidationError, match="broadcasts"):
+            self.solve(build(), X, FistaConfig(max_iterations=3), metric)
+        with pytest.raises(ValidationError, match="broadcasts"):
+            self.solve(build(), X, FistaConfig(max_iterations=3), "ones")
+
+    def test_no_row_ends_above_its_start_under_a_random_metric(self, rng):
+        for cap in (1, 4, 60):
+            for name, build, x in block_builders(rng):
+                sub = build()
+                smooth_rows, penalty_rows = sub.rows
+
+                def composite(point):
+                    if penalty_rows is None:
+                        return smooth_rows(point)
+                    return smooth_rows(point) + penalty_rows(point)
+
+                start = composite(np.array(x))
+                metric = rng.uniform(0.05, 20.0, np.shape(x))
+                res = self.solve(sub, x, FistaConfig(max_iterations=cap), metric)
+                ends = composite(res.solution)
+                slack = 1e-12 * np.maximum(1.0, np.abs(start))
+                assert np.all(ends <= start + slack), name
+                assert res.final_objective == approx(np.sum(ends), rel=1e-12), name
+
+    def test_a_w_block_solve_matches_a_long_projected_gradient(self, rng):
+        from conceptfit import GradedResponseSet
+
+        Q, N, V, K, tau, lam = 4, 6, 5, 2, 1.5, 0.2
+        W, mu, C, T, entries, counts = random_instance(rng, Q, N, V, K, observe_prob=1.0)
+        # a grade of each kind per question, so that every mu_i has a minimiser
+        Y = GradedResponseSet(Q, N, [(i, j, y if j > 1 else j) for i, j, y in entries])
+        c_aug = np.vstack([C, np.ones((1, N))])
+        x0 = np.hstack([W, mu[:, None]])
+        sub = w_block_subproblem((Y.cells, Y.grades.astype(float)), c_aug,
+                                 counts.astype(float), T, tau, lam)
+        res = self.solve(sub, x0, FistaConfig(max_iterations=3000,
+                                              relative_tolerance=1e-13),
+                         rng.uniform(0.05, 20.0, x0.shape))
+        # on W >= 0 the l1 term is linear, so the reference folds it into the
+        # smooth part and projects the weights onto >= 0
+        l1 = np.append(np.full(K, lam), 0.0)
+
+        def value(x):
+            return sub.smooth_value(x) + float(np.sum(x @ l1))
+
+        def gradient(x):
+            return sub.smooth_gradient(x) + l1
+
+        def project(x):
+            return np.hstack([np.maximum(x[:, :-1], 0.0), x[:, -1:]])
+
+        _, f_star = projected_gradient(value, gradient, project, x0, iterations=20_000)
+        assert np.all(res.solution[:, :-1] >= 0.0)
+        assert res.final_objective == approx(f_star, rel=1e-6)
+
+
 def floored_counted_cells(rng, Q=5, N=6, V=4, K=2):
     """Block builders at points whose rates sit below epsilon under counts.
 
