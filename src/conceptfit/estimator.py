@@ -27,20 +27,34 @@ fewer; the shift, taken alone, also took more sweeps on the benchmark's
 grades-only fits (summed, 161 -> 172 on ``canonical`` and 544 -> 587 on
 ``text-heavy``, against 239 -> 234 on ``sparse-grades``).
 
-A sweep over a nonempty vocabulary also solves the W block under a fixed
-diagonal metric (``solvers._FitBlocks.w_metric``): each weight steps by its
-row's step, and each difficulty mu_i by max(1, 1 / (s_i h_i)) times it,
-where h_i is the exact curvature of the grades in mu_i at the solve's start
-and s_i the row's start step. The Poisson channel stiffens a question's
-weights but not its difficulty. At fitted states of the benchmark's
-``text-heavy`` data the W rows' Hessians have a median condition number of
-22.7 (``canonical`` 5.1, ``sparse-grades`` 3.2), and the weights' diagonal
-curvature is a median 19.5 times the difficulty's. So under one step per
-row, which the weights set, mu creeps; under the metric it steps at its own
-curvature, and text-heavy W solves fell from 5.3 to 2.6 inner iterations
-and their fits from 31 to 21 sweeps. A grades-only fit solves without a
-metric and stays bit for bit as it was: there the weights and the
-difficulty have curvatures alike, and the metric made its fits slower.
+A sweep over a nonempty vocabulary also solves each block under a fixed
+diagonal metric, formed at the solve's start (``solvers._FitBlocks``):
+
+- W, the relative ``w_metric``: each weight steps by its row's step, and
+  each difficulty mu_i by max(1, 1 / (s_i h_i)) times it, where h_i is the
+  exact curvature of the grades in mu_i and s_i the row's start step. The
+  Poisson channel stiffens a question's weights but not its difficulty. At
+  fitted states of the benchmark's ``text-heavy`` data the W rows' Hessians
+  have a median condition number of 22.7 (``canonical`` 5.1,
+  ``sparse-grades`` 3.2), and the weights' diagonal curvature is a median
+  19.5 times the difficulty's. So under one step per row, which the weights
+  set, mu creeps; under the metric it steps at its own curvature, and
+  text-heavy W solves fell from 5.3 to 2.6 inner iterations and their fits
+  from 31 to 21 sweeps.
+- C and T, the absolute Jacobi metrics ``c_metric`` and ``t_metric``: one
+  over the exact diagonal of each learner's or word's Hessian, so a row's
+  step is close to 1 wherever the sweep has moved its curvature. A locally
+  quadratic row then passes within ceil(log2 K) + 1 candidate steps in a
+  solve's first iteration; from a carried step alone these solves tried
+  4-7, and on the benchmark's joint fits their value passes per fit about
+  halved.
+
+W keeps its relative metric: the absolute one on W as well left the
+canonical joint fits of the acceptance shape needing more sweeps, not
+fewer. A grades-only fit solves without any metric and stays bit for bit as
+it was: there the weights and the difficulty have curvatures alike, the W
+metric made its fits slower, and the Jacobi metric on C led a
+``sparse-grades`` fit into a minimum 14% higher.
 
 The block solves are only as accurate as the outer progress calls for
 (block descent needs only a sufficient decrease per block; Xu & Yin, SIAM
@@ -160,11 +174,14 @@ def fit(responses, word_counts, params, config=None):
     knowledge moves into the difficulties, then each concept moves to its
     balanced scale, and neither raises the objective. A grades-only fit
     skips both, which took it more sweeps, not fewer. Over a nonempty
-    vocabulary the W block is solved under the module docstring's diagonal
-    metric, so each difficulty steps at its own curvature, not at the scale
-    of weights that the word counts stiffen (W-row condition numbers of a
-    median 22.7 at fitted text-heavy states, against 5.1 on canonical
-    data); a grades-only fit takes no metric. ``config`` is None
+    vocabulary every block is solved under the module docstring's diagonal
+    metrics. The W block's is relative, so each difficulty steps at its own
+    curvature, not at the scale of weights that the word counts stiffen
+    (W-row condition numbers of a median 22.7 at fitted text-heavy states,
+    against 5.1 on canonical data); an absolute one there cost canonical
+    fits sweeps. The C and T blocks' are the Jacobi metrics, one over each
+    coordinate's exact curvature, which bound the steps a solve's first
+    iteration tries. A grades-only fit takes no metric. ``config`` is None
     (the default ``FitConfig``) or a ``FitConfig``; anything else raises
     ValidationError.
     Returns (FactorState, FitReport). Raises DivergenceError, carrying the
@@ -255,14 +272,15 @@ def _descend(responses, word_counts, state, params, config):
 
         c_aug = np.vstack([state.C, ones])
         w_aug = np.hstack([state.W, state.mu[:, None]])
-        # the difficulties' own curvature, only where words stiffen the weights
-        metric = blocks.w_metric(w_aug, c_aug, steps.get("W")) if state.T.size else None
+        words = state.T.size > 0  # metrics, a T block, shift and scale only then
+        metric = blocks.w_metric(w_aug, c_aug, steps.get("W")) if words else None
         w_aug = solve("W", blocks.w(c_aug, state.T, params.lam), w_aug, metric)
         W, mu = w_aug[:, :-1], w_aug[:, -1]
-        C = solve("C", blocks.c(W, mu, params.gamma), state.C)
+        metric = blocks.c_metric(W, mu, state.C, params.gamma) if words else None
+        C = solve("C", blocks.c(W, mu, params.gamma), state.C, metric)
         T = state.T
-        if T.size:  # no T block, shift or scale over an empty vocabulary
-            T = solve("T", blocks.t(W, params.eta), T)
+        if words:
+            T = solve("T", blocks.t(W, params.eta), T, blocks.t_metric(W, T, params.eta))
             mu, C = _centred(W, mu, C)
             W, C, T = _rebalanced(W, C, T, params)
 

@@ -22,10 +22,15 @@ than one shared step would, which the worst-conditioned row sets.
 A block is solved once per outer sweep, and its rows' curvature changes
 little from one sweep to the next. So a solve reports the step each row
 accepted in its first iteration, and the next solve of that block may start
-each row at four times that step, capped at 1.0, rather than at 1.0. A
-row whose step still passes then tries at most three candidates in its
-first iteration instead of halving down from 1.0 again, and a row whose
-carried step is at the step floor starts again at 1.0.
+each row at four times that step, capped at 1.0, rather than at 1.0; a row
+whose carried step is at the step floor starts again at 1.0. The whole block
+is evaluated at every candidate until its slowest row passes, so the first
+iteration costs one value pass per candidate of that row. A carried step
+alone does not follow the curvature, which every sweep's other blocks and
+its shift and scale steps move. On the joint fits of the benchmark's
+datasets, a solve's first iteration made 3.7-6.9 value passes per workload
+and block when every solve started from its carried step alone; W solves,
+which still do under their relative metric, make 3.7-5.4.
 
 A solve may also take a fixed diagonal metric (``fista_minimize``'s
 ``metric``, a variable-metric forward-backward step; Chouzenoux, Pesquet &
@@ -33,10 +38,19 @@ Repetti, J. Optim. Theory Appl. 2014): coordinate j of row i then steps by
 step_i x metric_ij, ``prox`` receives those coordinate steps, and the row's
 bound charges sum(dz^2 / (2 step metric)). The row's step is still one
 scalar, the one that halves and that ``first_step`` carries to the next
-solve. ``_FitBlocks.w_metric`` gives the W block's: 1 on the weights and,
-on each difficulty, the ratio of the row's start step to the step of the
-difficulty's own curvature, at least 1. Without a metric every coordinate
-steps by its row's step, bit for bit as before.
+solve. Without a metric every coordinate steps by its row's step, bit for
+bit as before. The builders give two kinds:
+
+- ``_FitBlocks.w_metric``, relative: 1 on the weights and, on each
+  difficulty, the ratio of the row's start step to the step of the
+  difficulty's own curvature, at least 1;
+- ``_FitBlocks.c_metric`` and ``t_metric``, absolute: the Jacobi metric, one
+  over the exact diagonal of each row's Hessian at the solve's start. The
+  scaled Hessian then has a unit diagonal, so its largest eigenvalue lies in
+  [1, K], and a locally quadratic row passes its bound within
+  ceil(log2 K) + 1 candidates from a step of 1 or less. The C and T solves
+  of those fits make a mean of 2.1-2.5 value passes in their first
+  iteration.
 
 The Poisson values floor every rate at the smallest normal float
 (``_RATE_FLOOR``), not at epsilon as the objective does. A step that drives
@@ -135,6 +149,7 @@ _STEP_FLOOR = 1e-18
 # rate of 0 under a count costs about 708 per count, finite, since an infinite
 # value would make inf - inf of the values' differences.
 _RATE_FLOOR = np.finfo(float).tiny
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -230,6 +245,15 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     steps by the row's step, bit for bit as a metric of 1.0. Raises
     ValidationError for a metric that is not positive and finite or that
     does not broadcast to x's shape.
+
+    The first iteration evaluates the whole variable at every candidate
+    until its slowest row passes. Under the Jacobi metric (one over the
+    exact Hessian diagonal of each row, with rows of K coordinates) a
+    locally quadratic row needs at most ceil(log2 K) + 1 candidates from a
+    step of 1 or less, since its scaled Hessian has a unit diagonal and so
+    a largest eigenvalue in [1, K]. Under a carried step alone the count
+    has no such bound: W solves of the benchmark's joint fits, with their
+    relative metric, make 3.7-5.4 value passes in their first iteration.
 
     Returns each row's best iterate, so no row ends above its composite
     objective at ``x0``, ``final_objective``, their sum, and ``first_step``,
@@ -433,13 +457,15 @@ def _subproblem(value_and_gradient, value, prox, penalty=None):
 
 
 def _observed_bernoulli(cells, y, tau):
-    """Per-row values, fused values and slope grid, and curvatures of slacks Z graded y.
+    """Per-row values, fused values and slope grid, and curvature grid of slacks Z graded y.
 
-    cells index Z row-major, in any order; unobserved cells get slope zero.
-    The three callables take Z and the axis of its values: per row of a 2-D Z
-    (``axis=1``, Q x 1) or per column (``axis=0``, 1 x N), each cell's row or
-    column formed on first use per axis; a 1-D Z is one row. So one set-up
-    serves the W block's rows and the C block's columns. A soft grade y in
+    cells index Z row-major, in any order; unobserved cells get slope and
+    curvature zero. The two value callables take Z and the axis of its
+    values: per row of a 2-D Z (``axis=1``, Q x 1) or per column (``axis=0``,
+    1 x N), each cell's row or column formed on first use per axis; a 1-D Z
+    is one row. The curvature takes Z alone and returns a grid of its shape.
+    So one set-up serves the W block's rows and the C block's columns, and
+    the metrics of both. A soft grade y in
     (0, 1), which the per-row views accept, is scored as the cross-entropy
     y * nll(1) + (1 - y) * nll(0): a correct grade of weight y and an
     incorrect one of weight 1 - y on the same cell.
@@ -453,7 +479,7 @@ def _observed_bernoulli(cells, y, tau):
     m = _signed_precision(np.concatenate([y > 0.0, np.zeros(soft.size)]), tau)
     weight = np.concatenate([np.where(y > 0.0, y, 1.0), 1.0 - y[soft]])
     slope_scale = weight * m
-    curvature_scale = m * m  # tau^2 on every cell
+    curvature_scale = weight * (m * m)  # tau^2 on every cell, times its weight
     # (axis, Z.shape) -> (each cell's row or column, their number, values' shape)
     groups = {}
 
@@ -480,15 +506,16 @@ def _observed_bernoulli(cells, y, tau):
         return (per_row(Z, axis, _bernoulli_terms(u, e)),
                 np.bincount(cells, s, Z.size).reshape(Z.shape))
 
-    def curvature(Z, axis):
-        """Per row, the sum of each cell's second derivative in its slack.
+    def curvature(Z):
+        """The Z-shaped grid of each cell's second derivative in its slack.
 
-        That is m^2 sigmoid(u) sigmoid(-u) = tau^2 e / (1 + e)^2 per cell,
-        and so the values' exact second derivative along a shift of the
-        whole row of slacks.
+        That is m^2 sigmoid(u) sigmoid(-u) = tau^2 e / (1 + e)^2 per observed
+        cell and 0 elsewhere: the exact diagonal of the values' Hessian in Z.
+        A row sum is the second derivative along a shift of the whole row.
         """
         e = _bernoulli_margins(m, Z.take(cells))[1]
-        return per_row(Z, axis, curvature_scale * e / np.square(1.0 + e))
+        return np.bincount(cells, curvature_scale * e / np.square(1.0 + e),
+                           Z.size).reshape(Z.shape)
 
     return value, value_and_slope, curvature
 
@@ -505,7 +532,8 @@ class _FitBlocks:
     Every subproblem built here shares the work arrays, so no two of them
     may be evaluated from two threads at once; the estimator evaluates one
     at a time. ``w``, ``c`` and ``t`` build a sweep's subproblems from the
-    factors alone. A fit forms one and drops it when it ends; no two fits
+    factors alone, and ``w_metric``, ``c_metric`` and ``t_metric`` their
+    metrics at a solve's start. A fit forms one and drops it when it ends; no two fits
     share one. A public builder forms one for its one block, so it forms
     only what that block uses and passes None for the rest.
     """
@@ -593,12 +621,24 @@ class _FitBlocks:
         weights' l1 thresholds stay step x lam. One slack pass over the
         observed cells.
         """
-        h = self._bernoulli[2](X @ c_aug, 1)
+        h = self._bernoulli[2](X @ c_aug).sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", over="ignore"):
             d = 1.0 / (_start_step(h.shape, carried) * h)
         metric = np.ones(X.shape)
         metric[:, -1:] = np.where(d < np.inf, np.maximum(d, 1.0), 1.0)
         return metric
+
+    def c_metric(self, W, mu, C, gamma):
+        """The C block's Jacobi metric at ``C``, K x N.
+
+        Each entry is 1 / (gamma + sum_i h_ij w_ik^2), where h_ij is the
+        grades' second derivative in slack ij at W C + mu (0 for an
+        unobserved cell): one over the exact diagonal of the learner's
+        Hessian in c_kj; 1/gamma for a concept whose column of W is zero.
+        One slack pass over the observed cells.
+        """
+        h = self._bernoulli[2](((W @ C).T + mu).T)
+        return _jacobi(gamma, np.square(W).T @ h)
 
     def c(self, W, mu, gamma):
         """The knowledge block at associations ``W`` and difficulties ``mu``."""
@@ -656,6 +696,34 @@ class _FitBlocks:
             return prox_nonneg(point)
 
         return _subproblem(value_and_gradient, value, prox)
+
+    def t_metric(self, W, T, eta):
+        """The T block's Jacobi metric at ``T``, K x V.
+
+        Each entry is 1 / (eta + sum_i w_ik^2 b_iv / a_iv^2), where a is the
+        rate W T floored at epsilon, the slopes' floor: one over the exact
+        diagonal of the word's Hessian in t_kv wherever the rates lie above
+        epsilon; 1/eta for a concept whose column of W is zero. Each cell's
+        b / a^2 is capped at the largest float, so a zero weight still adds
+        exactly 0; an entry whose sum overflows falls back to 1 (``_jacobi``).
+        Formed in the Q x V work arrays.
+        """
+        raw, a = self._poisson_grids
+        a = _floored_rate(np.matmul(W, T, out=raw), self._epsilon, a)
+        with np.errstate(over="ignore"):
+            q = np.divide(_poisson_ratio(self._counts, a, raw), a, out=raw)  # b / a^2
+            return _jacobi(eta, np.square(W).T @ np.minimum(q, _FLOAT_MAX, out=q))
+
+
+def _jacobi(ridge, curvature):
+    """1 / (ridge + curvature) per entry: an absolute diagonal metric.
+
+    An entry that is not finite and > 0, where the curvature overflows, falls
+    back to 1, the step of a solve without a metric.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        metric = 1.0 / (ridge + curvature)
+    return np.where((metric > 0.0) & (metric < np.inf), metric, 1.0)
 
 
 def w_block_subproblem(grades, c_aug, counts, T, tau, lam, epsilon=1e-6):

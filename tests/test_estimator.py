@@ -218,7 +218,7 @@ class TestExtrapolatedSweeps:
             sweeps.append(report.outer_iterations)
         assert sum(sweeps) <= 95
 
-    def test_only_a_fit_with_words_solves_its_w_block_under_a_metric(self, monkeypatch):
+    def test_only_a_fit_with_words_solves_its_blocks_under_metrics(self, monkeypatch):
         import conceptfit.estimator as estimator
 
         metrics = []
@@ -236,13 +236,18 @@ class TestExtrapolatedSweeps:
         metrics.clear()
         _, report = fit(Y, B, params, FitConfig(rng_seed=0))
         assert len(metrics) == 3 * report.outer_iterations
-        # a joint fit passes one to its W solves only: 1 on every weight, and
-        # at least 1 on every difficulty
-        assert all(metric is None for metric in metrics[1::3] + metrics[2::3])
+        # a joint fit's W solves take the relative metric: 1 on every weight,
+        # and at least 1 on every difficulty
         for metric in metrics[::3]:
             assert metric.shape == (Y.num_questions, params.num_concepts + 1)
             assert np.all(metric[:, :-1] == 1.0) and np.all(metric[:, -1] >= 1.0)
         assert any(np.any(metric[:, -1] > 1.0) for metric in metrics[::3])
+        # its C and T solves take the absolute Jacobi metrics, K x N and K x V
+        K = params.num_concepts
+        for block, shape in ((1, (K, Y.num_learners)), (2, (K, B.num_words))):
+            for metric in metrics[block::3]:
+                assert metric.shape == shape
+                assert np.all(np.isfinite(metric) & (metric > 0.0))
 
     def test_the_metric_cuts_the_w_solves_of_text_heavy_joint_fits(self, monkeypatch):
         # under one step per row these fits took 5.49 W iterations per sweep,
@@ -260,6 +265,37 @@ class TestExtrapolatedSweeps:
                 w_iterations += sum(used for _, used in solves[::3])
                 sweeps += report.outer_iterations
         assert w_iterations / sweeps <= 3.5
+
+    def test_the_jacobi_metrics_bound_the_first_iteration_of_c_and_t_solves(
+            self, monkeypatch):
+        # from the carried step alone these solves made 5.9 (C) and 5.6 (T)
+        # value passes in their first iteration
+        import conceptfit.estimator as estimator
+
+        first = []  # per solve, the value passes before its second gradient
+
+        def recorded(gradient, value, *args, **kwargs):
+            seen = {"gradients": 0, "values": 0}
+
+            def counted_gradient(x):
+                seen["gradients"] += 1
+                return gradient(x)
+
+            def counted_value(x):
+                seen["values"] += seen["gradients"] == 1
+                return value(x)
+
+            result = fista_minimize(counted_gradient, counted_value, *args, **kwargs)
+            first.append(seen["values"])
+            return result
+
+        monkeypatch.setattr(estimator, "fista_minimize", recorded)
+        Y, B, _ = simulate(seed=0, **CANON)
+        for start in (0, 1, 2):
+            _, report = fit(Y, B, CANON_PARAMS, FitConfig(rng_seed=start))
+            assert report.converged
+        assert len(first) % 3 == 0
+        assert np.mean(first[1::3]) <= 3.0 and np.mean(first[2::3]) <= 3.0
 
     @pytest.mark.parametrize("words", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])

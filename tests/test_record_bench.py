@@ -1,4 +1,5 @@
-"""``tools/record_bench.py``: the acceptance rule of ``compare`` and a failed run's error."""
+"""``tools/record_bench.py``: the acceptance rule of ``compare``, the per-layer ratios and a
+failed run's error."""
 
 import importlib.util
 from pathlib import Path
@@ -79,3 +80,16 @@ def test_a_failed_run_names_its_side_workload_seed_exit_code_and_stderr(tmp_path
     for part in ("parent", "canonical", "seed 2801", "exited with 3", "the last line"):
         assert part in message
     assert "line 80" not in message  # only the tail of the stderr
+
+
+def test_each_per_layer_metric_gets_the_change_over_the_parent():
+    parent = {"per_layer": {"solvers.C.inner_iters": 4.0, "solvers.C.floor_stalls": 0.0,
+                            "gone": 1.0}}
+    change = {"per_layer": {"solvers.C.inner_iters": 2.5, "solvers.C.floor_stalls": 0.0,
+                            "new": 3.0}}
+    assert record_bench.layer_ratios(parent, change) == {
+        "solvers.C.inner_iters": 0.625,
+        "solvers.C.floor_stalls": None,  # 0 at the parent: no ratio
+        "gone": None,
+        "new": None,
+    }

@@ -831,6 +831,69 @@ class TestDiagonalMetric:
         assert res.final_objective == approx(f_star, rel=1e-6)
 
 
+class TestJacobiMetrics:
+    """``c_metric`` and ``t_metric`` are one over the exact diagonal of their Hessians."""
+
+    @staticmethod
+    def hessian_diagonal(value_and_gradient, x, h=1e-5):
+        # the columns are independent problems, so bumping a row of x bumps one
+        # coordinate of every column at once
+        diagonal = np.empty_like(x)
+        for k in range(x.shape[0]):
+            bump = np.zeros_like(x)
+            bump[k] = h
+            diagonal[k] = (value_and_gradient(x + bump)[1][k]
+                           - value_and_gradient(x - bump)[1][k]) / (2.0 * h)
+        return diagonal
+
+    @given(seed=st.integers(0, 2**32 - 1), Q=st.integers(1, 5), N=st.integers(1, 5),
+           V=st.integers(1, 5), K=st.integers(1, 3), tau=st.floats(0.1, 3.0),
+           soft=st.booleans(), zero_column=st.booleans(), zero_row=st.booleans(),
+           zero_word=st.booleans(), epsilon=st.sampled_from([1e-6, 1e-150, 1e-300]))
+    @settings(max_examples=60, deadline=None)
+    def test_each_entry_is_one_over_the_exact_hessian_diagonal(
+            self, seed, Q, N, V, K, tau, soft, zero_column, zero_row, zero_word, epsilon):
+        rng = np.random.default_rng(seed)
+        gamma, eta = 0.4, 0.3
+        W, mu, C, T, entries, counts = random_instance(rng, Q, N, V, K)
+        cells = np.array([i * N + j for i, j, _ in entries])
+        y = np.array([g for _, _, g in entries], dtype=float)
+        if soft:
+            y = rng.uniform(0.0, 1.0, y.size)
+        counts = counts.astype(float)
+        if zero_column:  # concept 0 loads on no question
+            W[:, 0] = 0.0
+        if zero_row:  # question 0's rates are 0, floored at epsilon, under counts
+            W[0] = 0.0
+            counts[0] += 1.0
+        if zero_word:  # so are word 0's, where a nonzero weight meets b / epsilon^2
+            T[:, 0] = 0.0
+            counts[:, 0] += 1.0
+        blocks = _FitBlocks((cells, y), counts, tau, epsilon)
+        c_metric = blocks.c_metric(W, mu, C, gamma)
+        t_metric = blocks.t_metric(W, T, eta)
+        assert c_metric.shape == (K, N) and t_metric.shape == (K, V)
+        for metric in (c_metric, t_metric):
+            assert np.all(np.isfinite(metric) & (metric > 0.0))
+        want = 1.0 / self.hessian_diagonal(blocks.c(W, mu, gamma).value_and_gradient, C)
+        assert c_metric == approx(want, rel=1e-5)
+        # word 0's rates sit on the floor, where the slope has a kink
+        words = slice(1 if zero_word else 0, None)
+        want = 1.0 / self.hessian_diagonal(blocks.t(W, eta).value_and_gradient, T)
+        assert t_metric[:, words] == approx(want[:, words], rel=1e-5)
+        if zero_column:
+            assert np.all(c_metric[0] == 1.0 / gamma) and np.all(t_metric[0] == 1.0 / eta)
+
+    def test_an_overflowing_curvature_falls_back_to_a_unit_entry(self):
+        # a weight of 2 on a word whose rate is 0 under a count: at epsilon
+        # 1e-300 its curvature 4 b / epsilon^2 overflows, so concept 0 falls
+        # back to 1; concept 1, which loads on nothing, stays at exactly 1/eta
+        W = np.array([[2.0, 0.0], [2.0, 0.0]])
+        blocks = _FitBlocks(None, np.ones((2, 1)), None, 1e-300)
+        metric = blocks.t_metric(W, np.zeros((2, 1)), 0.3)
+        assert metric.tolist() == [[1.0], [1.0 / 0.3]]
+
+
 def floored_counted_cells(rng, Q=5, N=6, V=4, K=2):
     """Block builders at points whose rates sit below epsilon under counts.
 

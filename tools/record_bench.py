@@ -15,7 +15,9 @@ attempted operations and the minor page faults of every run and the traced
 run's per-layer metrics; and, per end-to-end metric, the change's median over
 the parent's, the pairs the change won, the parent's interquartile range and
 the acceptance rule (``compare``): whether a gain is shown and whether the
-change stays within the metric's bound. A run's minor page faults are those
+change stays within the metric's bound; and, under ``per_layer``, the
+change's value over the parent's for each per-layer metric of the two traced
+runs (``layer_ratios``). A run's minor page faults are those
 of the ``bench/run.py`` process and its children, so a heap that keeps being
 trimmed and grown again shows in the record and not only as a slower median.
 Runs go one at a time: the benchmark's timings assume an otherwise idle
@@ -131,6 +133,16 @@ def compare(parent, change, metrics):
     return out
 
 
+def layer_ratios(parent, change):
+    """Per per-layer metric of the two traced runs, the change's value over the parent's.
+
+    A metric the parent reads 0 for, or that only one side reports, has None.
+    """
+    old, new = parent["per_layer"], change["per_layer"]
+    return {name: new[name] / old[name] if old.get(name) and name in new else None
+            for name in {**old, **new}}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
@@ -169,8 +181,9 @@ def main(argv=None):
             for side, root in sides.items():
                 traced = bench(side, root, w, args.seed, seconds, 1)
                 result[side]["workloads"][w] = side_entry(runs[side], traced)
-            result["comparison"][w] = compare(result["parent"]["workloads"][w],
-                                              result["change"]["workloads"][w], metrics)
+            parent, change = (result[side]["workloads"][w] for side in sides)
+            result["comparison"][w] = {**compare(parent, change, metrics),
+                                       "per_layer": layer_ratios(parent, change)}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(path)
