@@ -4,10 +4,22 @@ One sweep updates, in order, every [w_i | mu_i] row, then every knowledge
 column of C, then every word column of T, each block through the FISTA
 subsolver warm-started at its current value. The rows of a block are
 independent problems, and the subsolver gives each its own step, so one
-badly conditioned row does not hold back the rest. Each block's solve
-starts from the steps its rows accepted first in the block's previous solve
-of the same fit; the first sweep starts them at 1.0. The full objective is
+badly conditioned row does not hold back the rest. The full objective is
 recorded after each sweep.
+
+The fit, not the subsolver, owns where each solve's steps start: the
+subsolver starts every row's step at 1.0 and scales it by the solve's
+diagonal metric, and knows nothing of earlier solves. A row's curvature
+moves little from one sweep to the next, so the W solves of every fit, and
+the C solves of a grades-only fit, carry their steps: each row starts at
+min(1, 4 x the step its first iteration accepted in the block's last solve)
+(``_next_start``), at 1.0 in the first sweep and after a step at the floor.
+A grades-only solve takes that start as its metric, Q x 1 for W and 1 x N
+for C. Since 1 x s = s x 1 and halving is exact, such a solve takes, bit
+for bit, the steps and the answer of a row step that started at s, except
+where a row's step reaches the 1e-18 floor, which the subsolver tests on
+its halving multiplier, not on the scaled step. The C and T solves of a fit
+with words carry nothing: their Jacobi metrics set their steps.
 
 A sweep over a nonempty vocabulary ends, after its T solve and before its
 objective, with an exact step per concept along the two directions that
@@ -28,12 +40,13 @@ grades-only fits (summed, 161 -> 172 on ``canonical`` and 544 -> 587 on
 ``text-heavy``, against 239 -> 234 on ``sparse-grades``).
 
 A sweep over a nonempty vocabulary also solves each block under a fixed
-diagonal metric, formed at the solve's start (``solvers._FitBlocks``):
+diagonal metric of curvature, formed at the solve's start
+(``solvers._FitBlocks``):
 
-- W, the relative ``w_metric``: each weight steps by its row's step, and
-  each difficulty mu_i by max(1, 1 / (s_i h_i)) times it, where h_i is the
-  exact curvature of the grades in mu_i and s_i the row's start step. The
-  Poisson channel stiffens a question's weights but not its difficulty. At
+- W, the relative ``w_metric``: each weight steps by its row's carried
+  start s_i, and each difficulty mu_i by max(1, 1 / (s_i h_i)) times it,
+  where h_i is the exact curvature of the grades in mu_i. The Poisson
+  channel stiffens a question's weights but not its difficulty. At
   fitted states of the benchmark's ``text-heavy`` data the W rows' Hessians
   have a median condition number of 22.7 (``canonical`` 5.1,
   ``sparse-grades`` 3.2), and the weights' diagonal curvature is a median
@@ -47,12 +60,14 @@ diagonal metric, formed at the solve's start (``solvers._FitBlocks``):
   quadratic row then passes within ceil(log2 K) + 1 candidate steps in a
   solve's first iteration; from a carried step alone these solves tried
   4-7, and on the benchmark's joint fits their value passes per fit about
-  halved.
+  halved. A carried step on top of them did nothing measurable (summed
+  joint sweeps 838 / 1399 / 185 with it and 838 / 1405 / 185 without, on
+  the acceptance, sparse and text shapes), so they take none.
 
 W keeps its relative metric: the absolute one on W as well left the
 canonical joint fits of the acceptance shape needing more sweeps, not
-fewer. A grades-only fit solves without any metric and stays bit for bit as
-it was: there the weights and the difficulty have curvatures alike, the W
+fewer. A grades-only fit takes no curvature metric, only its carried
+starts: there the weights and the difficulty have curvatures alike, the W
 metric made its fits slower, and the Jacobi metric on C led a
 ``sparse-grades`` fit into a minimum 14% higher.
 
@@ -100,7 +115,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DivergenceError, ValidationError
 from .model import (FactorState, FitReport, WordCountMatrix, _check_count,
                     _check_positive, _objective_of)
-from .solvers import FistaConfig, _FitBlocks, fista_minimize
+from .solvers import _STEP_FLOOR, FistaConfig, _FitBlocks, fista_minimize
 
 __all__ = ["FitConfig", "initialize", "fit", "fit_responses_only"]
 
@@ -181,7 +196,11 @@ def fit(responses, word_counts, params, config=None):
     against 5.1 on canonical data); an absolute one there cost canonical
     fits sweeps. The C and T blocks' are the Jacobi metrics, one over each
     coordinate's exact curvature, which bound the steps a solve's first
-    iteration tries. A grades-only fit takes no metric. ``config`` is None
+    iteration tries. A grades-only fit takes no curvature metric. The fit
+    owns where every solve's steps start: the W solves, and a grades-only
+    fit's C solves, start each row at min(1, 4 x the step it accepted first
+    in the block's last solve), carried through the metric; the Jacobi
+    solves carry nothing. ``config`` is None
     (the default ``FitConfig``) or a ``FitConfig``; anything else raises
     ValidationError.
     Returns (FactorState, FitReport). Raises DivergenceError, carrying the
@@ -232,20 +251,20 @@ def _descend(responses, word_counts, state, params, config):
         )
     trace = []
     converged = False
-    steps = {}  # block -> each row's first accepted step in its last solve
+    # each row's start step in the next W solve, and in the next C solve of a
+    # grades-only fit; see _next_start
+    w_start = c_start = 1.0
 
     # the first sweep solves loosely; see the module docstring
     inner = FistaConfig(config.inner.max_iterations,
                         max(1e-3, config.inner.relative_tolerance))
 
-    def solve(block, sub, x0, metric=None):
-        """Solve a block row by row, from the steps its last solve carried."""
+    def solve(sub, x0, metric):
+        """A block's solution under ``metric``, and each row's first accepted step."""
         smooth_value, nonsmooth_value = sub.rows
         result = fista_minimize(sub.value_and_gradient, smooth_value, sub.prox, x0,
-                                inner, nonsmooth_value,
-                                initial_step=steps.get(block), metric=metric)
-        steps[block] = result.first_step
-        return result.solution
+                                inner, nonsmooth_value, metric=metric)
+        return result.solution, result.first_step
 
     extrapolate = False
     t = 1.0  # Nesterov's sequence; 1 means no momentum
@@ -272,17 +291,20 @@ def _descend(responses, word_counts, state, params, config):
 
         c_aug = np.vstack([state.C, ones])
         w_aug = np.hstack([state.W, state.mu[:, None]])
-        words = state.T.size > 0  # metrics, a T block, shift and scale only then
-        metric = blocks.w_metric(w_aug, c_aug, steps.get("W")) if words else None
-        w_aug = solve("W", blocks.w(c_aug, state.T, params.lam), w_aug, metric)
+        words = state.T.size > 0  # curvature metrics, a T block, shift and scale
+        metric = blocks.w_metric(w_aug, c_aug, w_start) if words else w_start
+        w_aug, first = solve(blocks.w(c_aug, state.T, params.lam), w_aug, metric)
+        w_start = _next_start(w_start, first)
         W, mu = w_aug[:, :-1], w_aug[:, -1]
-        metric = blocks.c_metric(W, mu, state.C, params.gamma) if words else None
-        C = solve("C", blocks.c(W, mu, params.gamma), state.C, metric)
-        T = state.T
-        if words:
-            T = solve("T", blocks.t(W, params.eta), T, blocks.t_metric(W, T, params.eta))
+        sub, T = blocks.c(W, mu, params.gamma), state.T
+        if words:  # the Jacobi metrics set the C and T steps; nothing is carried
+            C, _ = solve(sub, state.C, blocks.c_metric(W, mu, state.C, params.gamma))
+            T, _ = solve(blocks.t(W, params.eta), T, blocks.t_metric(W, T, params.eta))
             mu, C = _centred(W, mu, C)
             W, C, T = _rebalanced(W, C, T, params)
+        else:  # a grades-only fit carries its C start too
+            C, first = solve(sub, state.C, c_start)
+            c_start = _next_start(c_start, first)
 
         state = FactorState(W, mu, C, T)
         current = objective(state)
@@ -310,6 +332,20 @@ def _descend(responses, word_counts, state, params, config):
     report = FitReport(tuple(trace), converged, len(trace),
                        time.perf_counter() - start)
     return state, report
+
+
+def _next_start(start, first_step):
+    """Each row's start step in its block's next solve: min(1, 4 x the last step).
+
+    ``start`` is the row's start in the last solve and ``first_step`` the
+    multiplier of it that the solve's first iteration accepted, so their
+    product is the step that passed. Curvature moves little from one sweep to
+    the next, so four times it is tried first. A row whose product is at or
+    below the engine's step floor starts again at 1.0, so that no row stays
+    frozen at the floor from one solve to the next.
+    """
+    step = start * first_step
+    return np.where(step > _STEP_FLOOR, np.minimum(1.0, 4.0 * step), 1.0)
 
 
 def _centred(W, mu, C):

@@ -13,8 +13,8 @@ from .errors import (
     ValidationError,
 )
 from .estimator import _checked_config, fit
-from .model import (_check_count, _check_positive, _check_real, _entry_arrays,
-                    bernoulli_nll, inverse_logit, observed_slacks)
+from .model import (_check_count, _check_names, _check_positive, _check_real,
+                    _entry_arrays, bernoulli_nll, inverse_logit, observed_slacks)
 
 __all__ = [
     "HoldoutSplit",
@@ -236,10 +236,11 @@ def top_keywords(state, vocabulary, k_words):
     Sorted by descending weight (ties by vocabulary order); zero-weight
     words are never listed, so a concept's list may be shorter than
     k_words or empty. Raises ValidationError unless k_words is an integer
-    >= 1 (a bool is not one).
+    >= 1 (a bool is not one) and the vocabulary is a list of distinct
+    nonempty strings (``_check_names``; a bare string is not one).
     """
     _check_count("k_words", k_words, 1)
-    vocabulary = list(vocabulary)
+    vocabulary = _check_names("vocabulary", vocabulary)
     if len(vocabulary) != state.num_words:
         raise ValidationError("vocabulary length does not match the state")
     summaries = []

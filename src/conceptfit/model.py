@@ -105,11 +105,13 @@ def _check_positive(name, value):
     _check_real(name, value, "finite and > 0", lambda v: v > 0)
 
 
-def _check_names(name, values):
+def _check_names(name, values, distinct=True):
     """values as a tuple of distinct nonempty strings; else ValidationError naming ``name``.
 
-    The one rule for a vocabulary and for question and learner ids. A bare
-    string is no list of names: ``tuple("ab")`` is ``('a', 'b')``.
+    The one rule for a vocabulary, for question and learner ids, and, with
+    ``distinct=False`` (a name may repeat), for stop words and a document's
+    terms. A bare string is no list of names: ``tuple("ab")`` is
+    ``('a', 'b')``.
     """
     if isinstance(values, str) or not isinstance(values, Iterable):
         raise ValidationError(f"{name} must be a list of strings, got {values!r}")
@@ -117,10 +119,9 @@ def _check_names(name, values):
     if not all(map(isinstance, names, repeat(str))):
         bad = next(v for v in names if not isinstance(v, str))
         raise ValidationError(f"{name} must hold only strings, got {bad!r}")
-    distinct = set(names)
-    if "" in distinct:
+    if "" in names:
         raise ValidationError(f"{name} must not hold an empty name")
-    if len(distinct) != len(names):
+    if distinct and len(set(names)) != len(names):
         repeated = next(v for v, n in Counter(names).items() if n > 1)
         raise ValidationError(f"{name} repeats the name {repeated!r}")
     return names
@@ -225,7 +226,9 @@ class WordCountMatrix:
 
     Owns its fields' rules: a count >= 1 of questions, a vocabulary of
     distinct nonempty strings (``_check_names``), and nonnegative integer
-    counts of shape (num_questions, vocabulary size).
+    counts of shape (num_questions, vocabulary size), each finite and below
+    2**63 so that it fits in an int64; real numbers only, so a string or an
+    integer too large for numpy's integers is refused before any cast.
     """
 
     def __init__(self, num_questions, vocabulary, counts):
@@ -236,11 +239,16 @@ class WordCountMatrix:
             raise DimensionMismatchError(
                 "counts", (self.num_questions, len(vocab)), arr.shape
             )
-        if arr.size and not np.all(arr == np.floor(arr)):
-            raise ValidationError("counts must be integers")
+        if arr.dtype.kind not in "biuf":  # strings, and objects such as ints past int64
+            raise ValidationError(f"counts must be numbers, got an array of {arr.dtype}")
+        if arr.size:
+            if not np.all(arr == np.floor(arr)):  # nan fails, and -inf and inf below
+                raise ValidationError("counts must be integers")
+            if arr.min() < 0:
+                raise ValidationError("counts must be nonnegative")
+            if arr.max().item() >= 2**63:  # a Python number compares exactly
+                raise ValidationError("counts must be below 2**63")
         arr = arr.astype(np.int64)
-        if arr.size and arr.min() < 0:
-            raise ValidationError("counts must be nonnegative")
         arr.setflags(write=False)
         self.vocabulary = vocab
         self.counts = arr
@@ -296,8 +304,12 @@ class FactorState:
         return self.T.shape[1]
 
     def permuted(self, order):
-        """Relabel concepts: new concept k is old concept order[k]."""
-        order = np.asarray(order, dtype=np.int64)
+        """Relabel concepts: new concept k is old concept order[k].
+
+        ``order`` is an integer index array (``_checked_index``: no float and
+        no bool) that holds each concept index once; else ValidationError.
+        """
+        order = _checked_index(order, self.num_concepts, "concept")
         if sorted(order.tolist()) != list(range(self.num_concepts)):
             raise ValidationError("order must be a permutation of the concept indices")
         return FactorState(

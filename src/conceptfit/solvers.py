@@ -19,38 +19,34 @@ epsilon floor under a nonzero count, shrinks only its own step, and every
 other row still reaches its minimizer. The solve takes fewer iterations
 than one shared step would, which the worst-conditioned row sets.
 
-A block is solved once per outer sweep, and its rows' curvature changes
-little from one sweep to the next. So a solve reports the step each row
-accepted in its first iteration, and the next solve of that block may start
-each row at four times that step, capped at 1.0, rather than at 1.0; a row
-whose carried step is at the step floor starts again at 1.0. The whole block
-is evaluated at every candidate until its slowest row passes, so the first
-iteration costs one value pass per candidate of that row. A carried step
-alone does not follow the curvature, which every sweep's other blocks and
-its shift and scale steps move. On the joint fits of the benchmark's
-datasets, a solve's first iteration made 3.7-6.9 value passes per workload
-and block when every solve started from its carried step alone; W solves,
-which still do under their relative metric, make 3.7-5.4.
-
-A solve may also take a fixed diagonal metric (``fista_minimize``'s
+Every row's step starts at 1.0 in a solve and only halves, so the engine
+solves one problem and knows nothing of earlier solves. What scale that
+step starts at is the solve's fixed diagonal metric (``fista_minimize``'s
 ``metric``, a variable-metric forward-backward step; Chouzenoux, Pesquet &
-Repetti, J. Optim. Theory Appl. 2014): coordinate j of row i then steps by
+Repetti, J. Optim. Theory Appl. 2014): coordinate j of row i steps by
 step_i x metric_ij, ``prox`` receives those coordinate steps, and the row's
-bound charges sum(dz^2 / (2 step metric)). The row's step is still one
-scalar, the one that halves and that ``first_step`` carries to the next
-solve. Without a metric every coordinate steps by its row's step, bit for
-bit as before. The builders give two kinds:
+bound charges sum(dz^2 / (2 step metric)). The row's step is the one scalar
+that halves, and ``first_step`` reports it as the first iteration accepted
+it. Without a metric every coordinate steps by its row's step, bit for bit
+as under a metric of 1.0. The whole block is evaluated at every candidate
+until its slowest row passes, so the first iteration costs one value pass
+per candidate of that row. A fit gives three kinds of metric:
 
-- ``_FitBlocks.w_metric``, relative: 1 on the weights and, on each
-  difficulty, the ratio of the row's start step to the step of the
-  difficulty's own curvature, at least 1;
+- a start step per row, Q x 1 or 1 x N, which the fit carries from the
+  block's last solve (``estimator._next_start``): the W and C solves of a
+  grades-only fit;
+- ``_FitBlocks.w_metric``, relative: the row's carried start on the
+  weights and, on each difficulty, that start times the ratio of it to the
+  step of the difficulty's own curvature, at least 1. On the joint fits of
+  the benchmark's datasets these W solves make 3.7-5.4 value passes in
+  their first iteration;
 - ``_FitBlocks.c_metric`` and ``t_metric``, absolute: the Jacobi metric, one
   over the exact diagonal of each row's Hessian at the solve's start. The
   scaled Hessian then has a unit diagonal, so its largest eigenvalue lies in
   [1, K], and a locally quadratic row passes its bound within
-  ceil(log2 K) + 1 candidates from a step of 1 or less. The C and T solves
-  of those fits make a mean of 2.1-2.5 value passes in their first
-  iteration.
+  ceil(log2 K) + 1 candidates from a step of 1. The C and T solves of
+  those fits make a mean of 2.1-2.5 value passes in their first iteration,
+  against 4.1-6.9 when they started from a carried step alone.
 
 The Poisson values floor every rate at the smallest normal float
 (``_RATE_FLOOR``), not at epsilon as the objective does. A step that drives
@@ -156,8 +152,8 @@ _FLOAT_MAX = np.finfo(float).max
 class FistaConfig:
     """Inner-solver knobs.
 
-    Each row's step starts at 1.0, or near the step carried from the last
-    solve of its block (see ``fista_minimize``), and only shrinks in a solve.
+    Each row's step starts at 1.0 and only shrinks in a solve; a solve's
+    ``metric`` sets the scale it starts at (see ``fista_minimize``).
     """
 
     max_iterations: int = 200
@@ -172,9 +168,10 @@ class FistaConfig:
 class SubproblemResult:
     """A solve's best iterate and its objective.
 
-    ``first_step`` is each row's step as accepted in the first iteration,
-    shaped like the per-row values; passed back as ``initial_step``, it
-    starts the next solve of the same block near the step that passed.
+    ``first_step`` is each row's scalar step as the first iteration accepted
+    it, shaped like the per-row values: 1.0 halved once per rejected
+    candidate, a multiplier of the metric. A fit carries it to the next
+    solve of the same block (``estimator._next_start``).
     """
 
     solution: np.ndarray
@@ -211,7 +208,7 @@ class Subproblem(NamedTuple):
 
 
 def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
-                   nonsmooth_value=None, initial_step=None, metric=None):
+                   nonsmooth_value=None, metric=None):
     """Accelerated proximal gradient with a backtracking line search per row.
 
     ``prox(point, step)`` must be the exact proximal map of the nonsmooth
@@ -222,16 +219,14 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     to broadcast against x with a length-1 axis for each axis a row spans:
     Q x 1 for the rows of [W | mu], 1 x N for the columns of C. The problem
     must then be the sum of independent row problems. Each row has its own
-    step, an array of the values' shape that only ever shrinks in a solve
-    and reaches ``prox`` as the step. It starts at 1.0, or, given
-    ``initial_step`` (one carried step per row, such as an earlier solve's
-    ``first_step``), at min(1, 4 x the carried step), and at 1.0 for a row
-    whose carried step is at or below the step floor. A row whose
+    step, an array of the values' shape that starts at 1.0, only ever
+    shrinks in a solve and reaches ``prox`` as the step. A row whose
     candidate breaks the standard quadratic upper bound halves its step and
-    the whole candidate is evaluated again; a row at the step floor accepts
-    its candidate. The momentum is shared, and the solve stops when the
-    relative change of the summed composite objective falls below
-    ``relative_tolerance`` or ``max_iterations`` is reached.
+    the whole candidate is evaluated again; a row whose step is at the step
+    floor accepts its candidate. The momentum is shared, and the solve stops
+    when the relative change of the summed composite objective falls below
+    ``relative_tolerance`` or ``max_iterations`` is reached. The engine
+    keeps nothing from one solve to the next.
 
     ``metric``, if given, is a fixed diagonal metric for the solve: a
     positive, finite array that broadcasts against x. Coordinate j of row i
@@ -242,22 +237,27 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
     lets a coordinate whose curvature is far below its row's stiffest move
     at its own scale. The row's step is still the one scalar that halves and
     that ``first_step`` reports. Without a metric every coordinate of a row
-    steps by the row's step, bit for bit as a metric of 1.0. Raises
-    ValidationError for a metric that is not positive and finite or that
-    does not broadcast to x's shape.
+    steps by the row's step, bit for bit as a metric of 1.0. A metric of
+    one start s_i per row (Q x 1, 1 x N) steps each row by s_i, s_i / 2, ...
+    bit for bit as a row step that started at s_i would, since 1 x s = s x 1
+    and halving is exact, except that the step floor is tested on the
+    halving multiplier, not on the scaled step. Raises ValidationError for
+    a metric that is not positive and finite or that does not broadcast to
+    x's shape.
 
     The first iteration evaluates the whole variable at every candidate
     until its slowest row passes. Under the Jacobi metric (one over the
     exact Hessian diagonal of each row, with rows of K coordinates) a
     locally quadratic row needs at most ceil(log2 K) + 1 candidates from a
-    step of 1 or less, since its scaled Hessian has a unit diagonal and so
-    a largest eigenvalue in [1, K]. Under a carried step alone the count
-    has no such bound: W solves of the benchmark's joint fits, with their
+    step of 1, since its scaled Hessian has a unit diagonal and so a
+    largest eigenvalue in [1, K]. Under a carried start alone the count has
+    no such bound: W solves of the benchmark's joint fits, with their
     relative metric, make 3.7-5.4 value passes in their first iteration.
 
     Returns each row's best iterate, so no row ends above its composite
     objective at ``x0``, ``final_objective``, their sum, and ``first_step``,
-    each row's step as the first iteration accepted it.
+    each row's step as the first iteration accepted it (a multiplier of the
+    metric).
 
     ``smooth_gradient(y)`` returns either the gradient at y or the pair
     (the smooth value at y, the gradient), such as a block builder's
@@ -290,7 +290,7 @@ def fista_minimize(smooth_gradient, smooth_value, prox, x0, config=None,
             # a row spans every axis along which its values have length 1
             shape = (1,) * (x.ndim - best_f.ndim) + best_f.shape
             axes = tuple(a for a, n in enumerate(shape) if n == 1)
-            step = _start_step(shape, initial_step)
+            step = np.ones(shape)
             scaled = step * metric  # each coordinate's step
             half_curvature = 0.5 / scaled  # 1 / (2 step metric)
         # one backtracking slack for the iteration, from the last objective
@@ -343,18 +343,6 @@ def _checked_metric(metric, shape):
     if not (np.isfinite(metric) & (metric > 0.0)).all():
         raise ValidationError("metric must be finite and > 0 in every entry")
     return metric
-
-
-def _start_step(shape, carried):
-    """Each row's first step: min(1, 4 x its carried step), or 1.0 without one.
-
-    A carried step at or below the step floor starts again at 1.0, so no row
-    stays frozen at the floor from one solve to the next.
-    """
-    if carried is None:
-        return np.ones(shape)
-    carried = np.broadcast_to(np.asarray(carried, dtype=float), shape)
-    return np.where(carried > _STEP_FLOOR, np.minimum(1.0, 4.0 * carried), 1.0)
 
 
 def prox_nonneg(x):
@@ -609,23 +597,23 @@ class _FitBlocks:
 
         return _subproblem(value_and_gradient, value, prox, penalty)
 
-    def w_metric(self, X, c_aug, carried):
-        """The W block's diagonal metric at ``X``: 1 on each weight, d_i on each mu_i.
+    def w_metric(self, X, c_aug, start):
+        """The W block's diagonal metric at ``X``: s_i on each weight, s_i d_i on mu_i.
 
-        d_i = max(1, 1 / (s_i h_i)), where s_i is row i's start step from its
-        ``carried`` step (``_start_step``) and h_i is the grades' second
-        derivative in mu_i at X, the exact curvature of row i along its
-        difficulty; d_i is 1 where h_i = 0 or 1 / (s_i h_i) overflows. The
-        scalar step of a row is set by its stiffest weights, so the
-        difficulty then steps about as far as Newton's step in mu_i, and its
-        weights' l1 thresholds stay step x lam. One slack pass over the
-        observed cells.
+        s_i is row i's ``start`` step (a Q x 1 column, or one number for
+        every row) and d_i = max(1, 1 / (s_i h_i)), where h_i is the grades'
+        second derivative in mu_i at X, the exact curvature of row i along
+        its difficulty; d_i is 1 where h_i = 0 or 1 / (s_i h_i) overflows.
+        A row's start is set by its stiffest weights, so the difficulty then
+        steps about as far as Newton's step in mu_i, and its weights' l1
+        thresholds stay step x lam. One slack pass over the observed cells.
         """
         h = self._bernoulli[2](X @ c_aug).sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", over="ignore"):
-            d = 1.0 / (_start_step(h.shape, carried) * h)
-        metric = np.ones(X.shape)
-        metric[:, -1:] = np.where(d < np.inf, np.maximum(d, 1.0), 1.0)
+            d = 1.0 / (start * h)
+        metric = np.empty(X.shape)
+        metric[:, :-1] = start
+        metric[:, -1:] = start * np.where(d < np.inf, np.maximum(d, 1.0), 1.0)
         return metric
 
     def c_metric(self, W, mu, C, gamma):

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -76,15 +76,20 @@ def document_tokens(content):
 
 @dataclass(frozen=True)
 class StopWordList:
-    """Words excluded from every vocabulary. All entries lowercase."""
+    """Words excluded from every vocabulary.
+
+    The words are nonempty lowercase strings (``_check_names``; a word may
+    repeat, and a bare string is no list of words); else ValidationError.
+    """
 
     words: frozenset
 
     def __post_init__(self):
-        for w in self.words:
-            if not isinstance(w, str) or not w or w != w.lower():
-                raise ValidationError(f"stop words must be nonempty lowercase: {w!r}")
-        object.__setattr__(self, "words", frozenset(self.words))
+        words = _check_names("stop words", self.words, distinct=False)
+        for w in words:
+            if w != w.lower():
+                raise ValidationError(f"stop words must be lowercase: {w!r}")
+        object.__setattr__(self, "words", frozenset(words))
 
     def __contains__(self, word):
         return word in self.words
@@ -129,21 +134,19 @@ class Corpus:
 
     Owns the rules of its documents: the question ids distinct nonempty
     strings (``_check_names``), and each document a string of text or an
-    iterable of nonempty string terms, kept as a tuple. The term counts are
-    formed once, on first use, and kept for the corpus's life; the
-    documents are immutable, so they cannot go stale.
+    iterable of nonempty string terms, kept as a tuple (``_check_names``,
+    where a term may repeat; a ValidationError names the question). The
+    term counts are formed once, on first use, and kept for the corpus's
+    life; the documents are immutable, so they cannot go stale.
     """
 
     documents: tuple
 
     def __post_init__(self):
-        docs = tuple((qid, content if isinstance(content, str) else tuple(content))
+        docs = tuple((qid, content if isinstance(content, str)
+                      else _check_names(f"terms for {qid!r}", content, distinct=False))
                      for qid, content in self.documents)
         _check_names("question_ids", [qid for qid, _ in docs])
-        for qid, content in docs:
-            if not isinstance(content, str) and (
-                    not all(map(isinstance, content, repeat(str))) or "" in content):
-                raise ValidationError(f"terms for {qid!r} must be nonempty strings")
         object.__setattr__(self, "documents", docs)
 
     @property

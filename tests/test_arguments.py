@@ -4,7 +4,8 @@ A count is an integer at or above its least value, a seed an integer >= 0,
 a positive number finite and > 0, and a fraction or floor a finite real
 number in its range. A bool is none of these, and numpy integers and floats
 pass as their Python counterparts. A list of names is distinct nonempty
-strings. A fit's config is None or a ``FitConfig``, whose ``inner`` is a
+strings, never a bare string; stop words and a document's terms may repeat.
+A fit's config is None or a ``FitConfig``, whose ``inner`` is a
 ``FistaConfig``.
 """
 
@@ -216,16 +217,23 @@ NAME_SITES = [
      lambda v: archive_with(question_ids=v)),
     ("ModelArchive", "learner_ids", ["s1", "s2", "s3", "s4"],
      lambda v: archive_with(learner_ids=v)),
+    ("top_keywords", "vocabulary", ["a", "b"], lambda v: top_keywords(STATE, v, 2)),
+    ("StopWordList", "stop words", ["a", "b"], lambda v: StopWordList(v)),
+    ("Corpus", "terms for 'q1'", ["x", "y"], lambda v: Corpus((("q1", v),))),
 ]
+# sites whose names may repeat: stop words, and the terms of a document
+REPEATABLE = {"stop words", "terms for 'q1'"}
 
 
 def bad_names(site):
     """Each way ``site``'s good names can break the rule, by id."""
-    where, _, good, _ = site
-    bad = {"repeated": good[:-1] + good[:1], "empty": good[:-1] + [""],
-           "non-string": good[:-1] + [1]}
-    if where != "Corpus":  # a corpus takes its ids from its documents
-        bad.update({"bare-string": "x" * len(good), "number": 5})
+    where, name, good, _ = site
+    bad = {} if name in REPEATABLE else {"repeated": good[:-1] + good[:1]}
+    bad.update({"empty": good[:-1] + [""], "non-string": good[:-1] + [1]})
+    if where != "Corpus":  # a document's bare string is its text
+        bad["bare-string"] = "x" * len(good)
+    if site_id(site) != "Corpus-question_ids":  # a corpus's ids come from its documents
+        bad["number"] = 5
     return bad.items()
 
 
@@ -234,8 +242,9 @@ def bad_names(site):
     for site in NAME_SITES for kind, value in bad_names(site)
 ])
 def test_a_list_of_names_outside_the_rule_is_rejected(name, call, value):
-    # a repeated or empty id passed a model archive, and a bare string of
-    # the right length was split into one name per character
+    # a repeated or empty id passed a model archive, a bare string of the
+    # right length was split into one name per character, and a number as a
+    # document's terms escaped as a TypeError
     with pytest.raises(ValidationError, match=f"^{name} "):
         call(value)
 
@@ -244,6 +253,22 @@ def test_a_list_of_names_outside_the_rule_is_rejected(name, call, value):
                          ids=[site_id(site) for site in NAME_SITES])
 def test_distinct_nonempty_names_are_taken(call, value):
     call(value)
+
+
+@pytest.mark.parametrize("call, value", [(site[3], site[2] + site[2][:1])
+                                         for site in NAME_SITES if site[1] in REPEATABLE],
+                         ids=[site_id(site) for site in NAME_SITES
+                              if site[1] in REPEATABLE])
+def test_stop_words_and_terms_may_repeat(call, value):
+    call(value)
+
+
+def test_a_bare_string_is_no_stop_word_list_and_no_vocabulary():
+    # "the" was the stop words {'t', 'h', 'e'}, and "ab" the vocabulary ['a', 'b']
+    with pytest.raises(ValidationError, match="^stop words must be a list of strings"):
+        StopWordList("the")
+    with pytest.raises(ValidationError, match="^vocabulary must be a list of strings"):
+        top_keywords(STATE, "ab", 2)
 
 
 NO_WORDS = WordCountMatrix(3, (), np.zeros((3, 0)))

@@ -114,23 +114,52 @@ class TestFit:
         assert first[1] == second[0]
         assert first[0] != first[1]
 
-    def test_each_block_solve_starts_from_its_last_first_step(self, monkeypatch):
+    def test_each_solve_starts_from_its_carried_step_or_its_jacobi_metric(
+            self, monkeypatch):
         import conceptfit.estimator as estimator
+        from conceptfit.estimator import _next_start
+        from conceptfit.solvers import _FitBlocks
 
-        solves = []
+        solves, jacobi = [], []  # (metric, first_step) per solve; each Jacobi metric
 
-        def recorded(*args, initial_step=None, **kwargs):
-            result = fista_minimize(*args, initial_step=initial_step, **kwargs)
-            solves.append((initial_step, result.first_step))
+        def recorded(*args, metric=None, **kwargs):
+            result = fista_minimize(*args, metric=metric, **kwargs)
+            solves.append((metric, result.first_step))
             return result
 
+        for name in ("c_metric", "t_metric"):
+            method = getattr(_FitBlocks, name)
+            monkeypatch.setattr(_FitBlocks, name, lambda *args, method=method:
+                                jacobi.append(method(*args)) or jacobi[-1])
         monkeypatch.setattr(estimator, "fista_minimize", recorded)
         Y, B, params = small_problem()
+
+        def assert_carried(starts, firsts):
+            # the first solve starts every row at 1.0, each later one from the last
+            assert starts[0] == 1.0
+            for start, first, carried in zip(starts, firsts, starts[1:]):
+                assert np.array_equal(carried, _next_start(start, first))
+                assert carried.shape == first.shape
+            assert any(np.any(carried < 1.0) for carried in starts[1:])
+
+        # a grades-only fit passes its W and C solves their carried starts
+        _, report = fit_responses_only(Y, params)
+        assert len(solves) == 2 * report.outer_iterations > 2 and jacobi == []
+        for block in (0, 1):
+            assert_carried(*zip(*solves[block::2]))
+        # a joint fit carries W's start, on its weights; C and T take the
+        # Jacobi metrics as formed, with no carried factor
+        solves.clear()
         _, report = fit(Y, B, params)
         assert len(solves) == 3 * report.outer_iterations > 3
-        assert all(carried is None for carried, _ in solves[:3])
-        for (_, accepted), (carried, _) in zip(solves, solves[3:]):
-            assert carried is accepted
+        w_metrics, w_firsts = zip(*solves[::3])
+        weights = [metric[:, :-1] for metric in w_metrics]
+        assert all(np.all(w == w[:, :1]) for w in weights)
+        assert_carried([1.0] + [w[:, :1] for w in weights[1:]], w_firsts)
+        assert np.all(weights[0] == 1.0)
+        assert len(jacobi) == 2 * report.outer_iterations
+        assert all(metric is formed for (metric, _), formed
+                   in zip(solves[1::3] + solves[2::3], jacobi[0::2] + jacobi[1::2]))
 
     def test_trace_matches_objective_of_returned_state(self):
         Y, B, params = small_problem()
@@ -157,6 +186,30 @@ class TestFit:
 
         with pytest.raises(DimensionMismatchError):
             fit(Y, bad, params)
+
+
+class TestNextStart:
+    """``_next_start``: a carried row starts at min(1, 4 x the step that passed)."""
+
+    def test_a_row_starts_at_four_times_its_last_step_up_to_one(self):
+        from conceptfit.estimator import _next_start
+
+        first = np.array([2.0**-3, 2.0**-10, 0.5, 1.0])[:, None]
+        assert _next_start(1.0, first).tolist() == [[2.0**-1], [2.0**-8], [1.0], [1.0]]
+        # the step that passed is the start times the multiplier that passed
+        start = np.array([0.25, 2.0**-20, 1.0, 0.5])[:, None]
+        first = np.array([0.5, 1.0, 2.0**-3, 1.0])[:, None]
+        assert _next_start(start, first).tolist() == [[0.5], [2.0**-18], [0.5], [1.0]]
+
+    def test_a_row_whose_step_reached_the_floor_starts_again_at_one(self):
+        from conceptfit.estimator import _next_start
+        from conceptfit.solvers import _STEP_FLOOR
+
+        first = np.array([_STEP_FLOOR, 1e-30, 2.0**-30, 1.0, 2.0 * _STEP_FLOOR])
+        start = np.array([1.0, 1.0, 2.0**-40, _STEP_FLOOR, 1.0])
+        # the product decides, so a floor reached by start and step together counts
+        assert _next_start(start, first).tolist() == [1.0, 1.0, 1.0, 1.0,
+                                                      8.0 * _STEP_FLOOR]
 
 
 CANON = dict(num_questions=50, num_learners=100, num_words=60, num_concepts=3,
@@ -218,7 +271,8 @@ class TestExtrapolatedSweeps:
             sweeps.append(report.outer_iterations)
         assert sum(sweeps) <= 95
 
-    def test_only_a_fit_with_words_solves_its_blocks_under_metrics(self, monkeypatch):
+    def test_only_a_fit_with_words_solves_its_blocks_under_curvature_metrics(
+            self, monkeypatch):
         import conceptfit.estimator as estimator
 
         metrics = []
@@ -230,18 +284,25 @@ class TestExtrapolatedSweeps:
         monkeypatch.setattr(estimator, "fista_minimize", recorded)
         Y, B, params = small_problem(0)
         _, report = fit_responses_only(Y, params, FitConfig(rng_seed=0))
-        # a grades-only fit passes no metric to any solve
-        assert len(metrics) == 2 * report.outer_iterations > 0
-        assert all(metric is None for metric in metrics)
+        # a grades-only fit passes each solve only its rows' start steps: 1.0
+        # in the first sweep, then a start per question (W) and per learner (C)
+        assert len(metrics) == 2 * report.outer_iterations > 2
+        assert metrics[:2] == [1.0, 1.0]
+        for block, shape in ((0, (Y.num_questions, 1)), (1, (1, Y.num_learners))):
+            for metric in metrics[block + 2::2]:
+                assert metric.shape == shape
+                assert np.all((metric > 0.0) & (metric <= 1.0))
         metrics.clear()
         _, report = fit(Y, B, params, FitConfig(rng_seed=0))
         assert len(metrics) == 3 * report.outer_iterations
-        # a joint fit's W solves take the relative metric: 1 on every weight,
-        # and at least 1 on every difficulty
+        # a joint fit's W solves take the relative metric: the row's start on
+        # every weight, and at least that on every difficulty
         for metric in metrics[::3]:
             assert metric.shape == (Y.num_questions, params.num_concepts + 1)
-            assert np.all(metric[:, :-1] == 1.0) and np.all(metric[:, -1] >= 1.0)
-        assert any(np.any(metric[:, -1] > 1.0) for metric in metrics[::3])
+            start = metric[:, :1]
+            assert np.all(metric[:, :-1] == start) and np.all(start <= 1.0)
+            assert np.all(metric[:, -1:] >= start)
+        assert any(np.any(metric[:, -1:] > metric[:, :1]) for metric in metrics[::3])
         # its C and T solves take the absolute Jacobi metrics, K x N and K x V
         K = params.num_concepts
         for block, shape in ((1, (K, Y.num_learners)), (2, (K, B.num_words))):

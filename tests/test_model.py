@@ -379,6 +379,28 @@ class TestDomainTypes:
         with pytest.raises(DimensionMismatchError):
             WordCountMatrix(2, ["a"], [[1]])
 
+    @pytest.mark.parametrize("count", [math.inf, -math.inf, math.nan, 1e30, 2.0**63,
+                                       2**63, 2**70, "3", 1.5])
+    def test_a_count_that_is_no_int64_integer_is_rejected_before_the_cast(self, count):
+        # inf and 1e30 raised a RuntimeWarning in the cast, 2**70 an
+        # OverflowError and "3" a TypeError
+        with pytest.raises(ValidationError, match="^counts must be"):
+            WordCountMatrix(1, ["a"], [[count]])
+
+    def test_the_largest_int64_count_and_integral_floats_are_taken(self):
+        largest = np.iinfo(np.int64).max
+        for count in (largest, np.uint64(largest), 3.0, np.float32(2.0)):
+            assert WordCountMatrix(1, ["a"], [[count]]).counts.tolist() == [[int(count)]]
+
+    @pytest.mark.parametrize("order", [[1.5, 0], [1.0, 0.0], [True, False], [0, 2],
+                                       [0, 0], [0], []])
+    def test_a_concept_order_that_is_no_integer_permutation_is_rejected(self, order):
+        # [1.5, 0] was truncated to [1, 0], and [True, False] was taken
+        S = FactorState(np.ones((2, 2)), np.zeros(2), np.ones((2, 3)), np.ones((2, 1)))
+        with pytest.raises(ValidationError, match="order|concept index"):
+            S.permuted(order)
+        assert S.permuted(np.array([1, 0], dtype=np.uint8)).W.shape == (2, 2)
+
     def test_factor_state_nonnegativity(self, rng):
         with pytest.raises(ValidationError):
             FactorState([[-0.1]], [0.0], [[1.0]], np.zeros((1, 1)))

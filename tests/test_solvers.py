@@ -675,8 +675,8 @@ def test_warm_poisson_blocks_allocate_no_grid_and_return_no_work_array(rng):
         assert all(same_bits(a, b) for a, b in zip(results, kept)), name
 
 
-def first_iteration_steps(build, x, cfg, initial_step=None):
-    """A solve of ``build()``'s rows and the steps its first iteration tried."""
+def first_iteration_steps(build, x, cfg, metric=None):
+    """A solve of ``build()``'s rows and the coordinate steps its first iteration tried."""
     sub, gradients, tried = build(), [], []
     smooth_rows, penalty_rows = sub.rows
 
@@ -689,34 +689,31 @@ def first_iteration_steps(build, x, cfg, initial_step=None):
             tried.append(np.array(step, dtype=float))
         return sub.prox(point, step)
 
-    res = fista_minimize(gradient, smooth_rows, prox, x, cfg, penalty_rows,
-                         initial_step=initial_step)
+    res = fista_minimize(gradient, smooth_rows, prox, x, cfg, penalty_rows, metric=metric)
     return res, tried
 
 
-class TestCarriedStep:
-    """``initial_step`` starts each row near the step its last solve accepted."""
+class TestStartStep:
+    """Every row's step starts at 1.0 and only halves; the metric sets its scale.
 
-    def test_no_carried_step_starts_every_row_at_one(self, rng):
+    A fit carries each row's start from one solve of a block to the next
+    (``estimator._next_start``) by passing it as the metric.
+    """
+
+    def test_every_row_starts_at_one_and_a_start_metric_scales_it(self, rng):
         cfg = FistaConfig(max_iterations=60, relative_tolerance=1e-12)
         for name, build, x in block_builders(rng)[:3]:
             default, tried = first_iteration_steps(build, x, cfg)
             assert np.all(tried[0] == 1.0), name
-            ones = np.ones_like(default.first_step)
-            for carried in (None, ones):
-                res, _ = first_iteration_steps(build, x, cfg, carried)
+            start = 2.0 ** -rng.integers(0, 8, np.shape(default.first_step))
+            res, tried = first_iteration_steps(build, x, cfg, start)
+            assert same_bits(tried[0], np.broadcast_to(start, tried[0].shape)), name
+            for ones in (np.ones_like(default.first_step), 1.0):
+                res, _ = first_iteration_steps(build, x, cfg, ones)
                 assert res.solution.tobytes() == default.solution.tobytes(), name
                 assert same_bits(res.final_objective, default.final_objective), name
                 assert res.iterations_used == default.iterations_used, name
                 assert same_bits(res.first_step, default.first_step), name
-
-    def test_a_carried_step_starts_its_row_at_four_times_it_up_to_one(self, rng):
-        name, build, X = block_builders(rng, Q=6)[0]
-        carried = np.array([2.0**-3, 2.0**-10, 0.5, 1.0, _STEP_FLOOR, 1e-30])[:, None]
-        _, tried = first_iteration_steps(build, X, FistaConfig(max_iterations=5),
-                                         carried)
-        want = np.array([2.0**-1, 2.0**-8, 1.0, 1.0, 1.0, 1.0])[:, None]
-        assert same_bits(tried[0], want)
 
     def test_first_step_is_the_step_the_first_iteration_accepted(self, rng):
         cfg = FistaConfig(max_iterations=60, relative_tolerance=1e-12)
@@ -724,40 +721,49 @@ class TestCarriedStep:
             res, tried = first_iteration_steps(build, x, cfg)
             assert same_bits(res.first_step, tried[-1]), name
             assert np.all(res.first_step <= 1.0), name
+            # under a metric it is the multiplier of the metric that passed
+            metric = rng.uniform(0.05, 20.0, np.shape(x))
+            res, tried = first_iteration_steps(build, x, cfg, metric)
+            assert same_bits(res.first_step * metric, tried[-1]), name
+            assert np.all(res.first_step <= 1.0), name
 
     def test_resolving_from_its_own_first_step_tries_at_most_three_candidates(self,
                                                                              rng):
         cfg = FistaConfig(max_iterations=3000, relative_tolerance=1e-13)
         for name, build, x in block_builders(rng):
             cold, cold_tried = first_iteration_steps(build, x, cfg)
-            warm, tried = first_iteration_steps(build, x, cfg, cold.first_step)
+            start = np.minimum(1.0, 4.0 * cold.first_step)
+            warm, tried = first_iteration_steps(build, x, cfg, start)
             assert len(tried) <= min(3, len(cold_tried)), name
-            assert same_bits(warm.first_step, cold.first_step), name
+            # the step that passes is the one that passed before
+            assert same_bits(start * warm.first_step, cold.first_step), name
             assert warm.final_objective == approx(cold.final_objective, rel=1e-9), name
 
 
 class TestDiagonalMetric:
     """``metric`` steps coordinate j of row i by step_i x metric_ij."""
 
-    def solve(self, sub, x, cfg, metric=None, initial_step=None):
+    def solve(self, sub, x, cfg, metric=None):
         smooth_rows, penalty_rows = sub.rows
         return fista_minimize(sub.value_and_gradient, smooth_rows, sub.prox, x, cfg,
-                              penalty_rows, initial_step=initial_step, metric=metric)
+                              penalty_rows, metric=metric)
 
     def test_a_metric_of_ones_is_bitwise_no_metric(self, rng):
         cfg = FistaConfig(max_iterations=60, relative_tolerance=1e-12)
         for name, build, x in block_builders(rng):
             plain = self.solve(build(), x, cfg)
-            carried = 0.25 * plain.first_step
+            start = np.minimum(1.0, 4.0 * plain.first_step)
             for metric in (np.ones(np.shape(x)), 1.0):
                 ones = self.solve(build(), x, cfg, metric)
                 assert ones.solution.tobytes() == plain.solution.tobytes(), name
                 assert same_bits(ones.final_objective, plain.final_objective), name
                 assert same_bits(ones.first_step, plain.first_step), name
                 assert ones.iterations_used == plain.iterations_used > 1, name
-                warm = self.solve(build(), x, cfg, metric, carried)
-                want = self.solve(build(), x, cfg, initial_step=carried)
+                # one start per row, given per row or on every coordinate
+                warm = self.solve(build(), x, cfg, start * metric)
+                want = self.solve(build(), x, cfg, np.broadcast_to(start, np.shape(x)))
                 assert warm.solution.tobytes() == want.solution.tobytes(), name
+                assert same_bits(warm.first_step, want.first_step), name
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_a_metric_entry_that_is_not_finite_and_positive_is_rejected(self, rng, bad):
